@@ -72,15 +72,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="retry transient worker failures up to N times with "
              "exponential backoff (default: 0, no retries)",
     )
-    _add_fuse_flag(parser)
-
-
-def _add_fuse_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="disable the trace-fusion fast path (equivalent to "
-             "MIXPBENCH_FUSE=0; results are bit-identical either way)",
-    )
 
 
 def _add_order_flag(parser: argparse.ArgumentParser) -> None:
@@ -285,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None, metavar="PATH",
         help="also save the SensitivityReport as JSON",
     )
-    _add_fuse_flag(sensitivity)
 
     profile = sub.add_parser(
         "profile", help="machine-model runtime breakdown of a benchmark",
@@ -372,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_order_flag(submit)
     _add_rounding_flag(submit)
     _add_screen_flag(submit)
-    _add_fuse_flag(submit)
     submit.add_argument(
         "--ack-timeout", type=float, default=30.0, metavar="SECONDS",
         help="how long to wait for the daemon to acknowledge (default: 30)",
@@ -508,7 +497,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         prune=args.prune,
         shadow=args.order == "shadow",
-        fuse=not args.no_fuse,
         rounding=args.rounding,
         screen=args.screen,
     )
@@ -694,12 +682,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"  analysis time: {outcome.analysis_seconds / 3600.0:.2f} simulated hours")
     stats = outcome.metadata.get("eval_stats") or {}
     print(f"  evaluation: {format_eval_stats(stats)}")
-    # Fusion counters live outside the interchange eval_stats payload
-    # (they describe this host's execution, not the search result),
-    # so report them from the live evaluator instead.
-    fusion = evaluator.stats.fusion_summary()
-    if fusion:
-        print("  fusion: " + ", ".join(f"{k} {v}" for k, v in fusion.items()))
     if prune_info is not None:
         print(f"  pruned: {format_prune_stats(prune_info)}")
     if shadow_info is not None:
@@ -739,7 +721,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         prune=args.prune,
         shadow=args.order == "shadow",
-        fuse=not args.no_fuse,
         rounding=args.rounding,
         screen=args.screen,
     )
@@ -806,7 +787,6 @@ def _submit_spec(args: argparse.Namespace):
         max_retries=args.max_retries,
         prune=args.prune,
         shadow=args.order == "shadow",
-        fuse=not args.no_fuse,
         rounding=args.rounding,
         screen=args.screen,
     )
@@ -1034,12 +1014,6 @@ def _cmd_report(paths: list[str], show_convergence: bool) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_fuse", False):
-        # Process-wide force, so every execution this command performs
-        # (searches, shadow runs, verification re-runs) is interpreted.
-        from repro.runtime.fuse import set_fusion_enabled
-
-        set_fusion_enabled(False)
     try:
         if args.command == "list":
             return _cmd_list()

@@ -13,7 +13,6 @@ The harness is driven by a per-benchmark YAML file::
       executor: process          # batch executor: serial/thread/process
       workers: 4                 # worker count for thread/process
       cache: true                # persistent evaluation cache on/off
-      fuse: true                 # trace-fusion fast path on/off
       analysis:
         floatsmith:              # analysis id
           name: floatSmith       # plugin name in the registry
@@ -39,8 +38,7 @@ __all__ = ["AnalysisSpec", "HarnessConfig", "load_config", "parse_config"]
 _TOP_KEYS = {
     "benchmark", "build", "build_dir", "clean", "metric", "threshold",
     "runs", "time_limit_hours", "analysis", "args", "bin", "copy", "output",
-    "executor", "workers", "cache", "prune", "shadow", "fuse", "rounding",
-    "screen",
+    "executor", "workers", "cache", "prune", "shadow", "rounding", "screen",
 }
 
 _EXECUTOR_NAMES = ("serial", "thread", "process")
@@ -79,8 +77,6 @@ class HarnessConfig:
     prune: bool | None = None
     #: shadow-guided search ordering toggle; None inherits
     shadow: bool | None = None
-    #: trace-fusion fast path toggle; None inherits
-    fuse: bool | None = None
     #: emulated-format store-rounding mode ("nearest"/"stochastic");
     #: None inherits
     rounding: str | None = None
@@ -188,12 +184,6 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
             f"{source}: {name}: shadow must be a boolean"
         )
 
-    fuse = body.get("fuse")
-    if fuse is not None and not isinstance(fuse, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: fuse must be a boolean"
-        )
-
     screen = body.get("screen")
     if screen is not None and not isinstance(screen, bool):
         raise HarnessConfigError(
@@ -237,7 +227,6 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
         cache=cache,
         prune=prune,
         shadow=shadow,
-        fuse=fuse,
         rounding=rounding,
         screen=screen,
     )

@@ -25,7 +25,6 @@ from repro.core.telemetry import TraceWriter
 from repro.core.types import PrecisionConfig
 from repro.harness.config import HarnessConfig, load_config
 from repro.harness.plugins import AnalysisResult, DeployedApp, get_plugin
-from repro.runtime import fuse as _fuse
 from repro.runtime.cache import EvaluationCache
 from repro.verify.quality import QualitySpec
 
@@ -99,11 +98,6 @@ class Harness:
         Order each analysis's search locations by shadow-run
         sensitivity (``--order shadow``; per-entry ``shadow:``
         overrides; see docs/shadow-analysis.md).
-    fuse:
-        Trace-fusion fast path toggle (``--no-fuse``; per-entry
-        ``fuse:`` overrides; see docs/runtime.md).  Fusion is
-        bit-identical to interpreted execution — this only trades
-        compile/replay overhead against per-op dispatch.
     screen:
         Certified error-bound screening (``--screen``; per-entry
         ``screen:`` overrides; see docs/error-bounds.md).  Screening
@@ -124,7 +118,6 @@ class Harness:
         max_retries: int = 0,
         prune: bool = False,
         shadow: bool = False,
-        fuse: bool = True,
         rounding: str = "nearest",
         screen: bool = False,
     ) -> None:
@@ -138,7 +131,6 @@ class Harness:
         self.max_retries = max_retries
         self.prune = prune
         self.shadow = shadow
-        self.fuse = fuse
         self.rounding = rounding
         self.screen = screen
 
@@ -183,12 +175,6 @@ class Harness:
             rounding=entry.rounding if entry.rounding is not None else self.rounding,
             screen=entry.screen if entry.screen is not None else self.screen,
         )
-        # Entry-scoped fusion toggle: bit-identical either way, so
-        # forcing it off (and restoring the previous force afterwards)
-        # can only change how fast the analyses run, never what they
-        # report.  The final verification runs under the same setting.
-        fuse_on = entry.fuse if entry.fuse is not None else self.fuse
-        fuse_prev = _fuse.set_fusion_enabled(False) if not fuse_on else None
         try:
             for spec in entry.analyses:
                 plugin = get_plugin(spec.plugin)
@@ -197,8 +183,6 @@ class Harness:
                     self._verify(spec.identifier, spec.plugin, bench, quality, result)
                 )
         finally:
-            if not fuse_on:
-                _fuse.set_fusion_enabled(fuse_prev)
             executor.close()
             if trace is not None:
                 trace.close()

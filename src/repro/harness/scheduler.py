@@ -35,7 +35,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.results import SearchOutcome
-from repro.runtime import fuse as _fuse
 from repro.runtime.cache import EvaluationCache
 from repro.search.registry import canonical_name, make_strategy, strategy_kwargs
 from repro.verify.quality import QualitySpec
@@ -74,12 +73,6 @@ class SearchJob:
     prune: bool = False
     #: order search locations by shadow-run sensitivity
     shadow: bool = False
-    #: trace-fusion fast path (repro.runtime.fuse).  Fusion is
-    #: bit-identical to interpreted execution, so this is a pure
-    #: performance toggle; ``False`` forces it off for the shard's
-    #: in-process executions (process-pool workers follow the
-    #: ``MIXPBENCH_FUSE`` environment they inherit instead)
-    fuse: bool = True
     #: store-rounding mode for emulated formats ("nearest" or
     #: "stochastic"); consumed by the bit-width bisection strategy,
     #: ignored by strategies that never emit custom formats
@@ -144,7 +137,6 @@ def grid_jobs(
     max_retries: int = 0,
     prune: bool = False,
     shadow: bool = False,
-    fuse: bool = True,
     rounding: str = "nearest",
     screen: bool = False,
 ) -> list[SearchJob]:
@@ -163,7 +155,6 @@ def grid_jobs(
             max_retries=max_retries,
             prune=prune,
             shadow=shadow,
-            fuse=fuse,
             rounding=rounding,
             screen=screen,
         )
@@ -191,13 +182,6 @@ def run_shard(
     (the service's cross-tenant dedupe store); without it, one is
     opened from ``job.cache_dir`` when set.
     """
-    # ``fuse=False`` forces the trace-fusion fast path off for the
-    # duration of this shard.  The toggle is process-global (fusion is
-    # bit-identical either way, so a concurrent mixed-flag grid risks
-    # only a perf wobble, never a result difference); the previous
-    # force is restored on the way out so a CLI-level --no-fuse
-    # survives the shard.
-    fuse_prev = _fuse.set_fusion_enabled(False) if not job.fuse else None
     try:
         bench = get_benchmark(job.program)
         quality = QualitySpec(job.metric or bench.metric, job.threshold)
@@ -263,9 +247,6 @@ def run_shard(
         result = JobResult(
             job=job, error=traceback.format_exc(), error_kind=type(exc).__name__,
         )
-    finally:
-        if not job.fuse:
-            _fuse.set_fusion_enabled(fuse_prev)
     if journal is not None and key is not None:
         journal.append_job_done(key, result.to_json_dict())
     return result

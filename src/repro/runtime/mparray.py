@@ -320,11 +320,6 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
     # -- ufunc dispatch -------------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if kwargs:
-            # ``out=`` (and friends) can mutate traced buffers; break
-            # any active fused region / learning chain first.
-            tracer = self._profile.fuse
-            if tracer is not None:
-                tracer.foreign()
             return self._array_ufunc_with_kwargs(ufunc, method, inputs, kwargs)
         if len(inputs) == 2:
             x0, x1 = inputs
@@ -339,35 +334,11 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             raw_inputs = tuple(
                 x._data if isinstance(x, MPArray) else x for x in inputs
             )
-        if method == "__call__":
-            tracer = self._profile.fuse
-            if tracer is not None and len(raw_inputs) <= 2:
-                if len(raw_inputs) == 2:
-                    fused = tracer.offer2(ufunc, raw_inputs[0], raw_inputs[1])
-                else:
-                    fused = tracer.offer1(ufunc, raw_inputs[0])
-                if fused is not None:
-                    wrapped = _MP_NEW(MPArray)
-                    wrapped._data = fused
-                    wrapped._profile = self._profile
-                    return wrapped
-            result = ufunc(*raw_inputs)
-            self._record_ufunc(ufunc, method, raw_inputs, result)
-            if tracer is not None and len(raw_inputs) <= 2:
-                if len(raw_inputs) == 2:
-                    tracer.note2(ufunc, raw_inputs[0], raw_inputs[1], result)
-                else:
-                    tracer.note1(ufunc, raw_inputs[0], result)
-        else:
-            if method == "at":
-                # ufunc.at mutates its first operand in place.
-                tracer = self._profile.fuse
-                if tracer is not None:
-                    tracer.foreign()
-            result = getattr(ufunc, method)(*raw_inputs)
-            self._record_ufunc(ufunc, method, raw_inputs, result)
-            if method == "at" and isinstance(inputs[0], QuantizedMPArray):
-                inputs[0]._quantize_storage()
+        fn = ufunc if method == "__call__" else getattr(ufunc, method)
+        result = fn(*raw_inputs)
+        self._record_ufunc(ufunc, method, raw_inputs, result)
+        if method == "at" and isinstance(inputs[0], QuantizedMPArray):
+            inputs[0]._quantize_storage()
 
         profile = self._profile
         if isinstance(result, np.ndarray):
@@ -569,9 +540,6 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     # -- non-ufunc NumPy functions ---------------------------------------------
     def __array_function__(self, func, types, args, kwargs):
-        tracer = self._profile.fuse
-        if tracer is not None and (func in _MUTATING_FUNCTIONS or "out" in kwargs):
-            tracer.foreign()
         raw_args = _unwrap_tree(args)
         raw_kwargs = _unwrap_tree(kwargs) if kwargs else kwargs
         result = func(*raw_args, **raw_kwargs)
@@ -639,9 +607,6 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def _setitem_fast(self, key: Any, value: Any) -> None:
         """Basic-index stores with the MOVE bucket key cached per dtype."""
-        tracer = self._profile.fuse
-        if tracer is not None:
-            tracer.foreign()
         if not _is_basic_index(key):
             self._setitem_reference(key, value)
             return
@@ -691,9 +656,6 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
         return MPArray(self._data.copy(), self._profile)
 
     def fill(self, value: Any) -> None:
-        tracer = self._profile.fuse
-        if tracer is not None:
-            tracer.foreign()
         self._data.fill(unwrap(value))
         self._profile.record_op(
             OpClass.MOVE, self.dtype.name, float(self.size),
@@ -744,10 +706,8 @@ class QuantizedMPArray(MPArray):
     temporaries run at the storage dtype's full width, matching the
     compute model of hardware with narrow memory formats and wide
     registers.  All store sites (``__setitem__``, ``fill``, ``out=``,
-    ``ufunc.at``, mutating ``__array_function__`` calls) already break
-    fused regions via ``tracer.foreign()`` on the base class, so the
-    extra rounding is structurally invisible to trace fusion: fused and
-    interpreted emulated runs are bit-identical by construction.
+    ``ufunc.at``, mutating ``__array_function__`` calls) re-round the
+    written region after the base class has performed the store.
 
     Views of quantised storage (slices, reshapes, transposes) are
     promoted back to :class:`QuantizedMPArray` so stores through them
@@ -1074,18 +1034,6 @@ def _make_binop(ufunc):
         else:
             return ufunc(self, other)  # full NumPy dispatch for exotic types
         a = self._data
-        # Trace-fusion hook: an active compiled region may already hold
-        # this op's result; a None return guarantees the tracer took no
-        # new reference to self/a/b, so the reuse refcount test below
-        # stays calibrated.
-        tracer = self._profile.fuse
-        if tracer is not None:
-            fused = tracer.offer2(ufunc, a, b)
-            if fused is not None:
-                wrapped = _MP_NEW(MPArray)
-                wrapped._data = fused
-                wrapped._profile = self._profile
-                return wrapped
         out = None
         if reusable and _FAST_MODE:
             if (
@@ -1115,8 +1063,6 @@ def _make_binop(ufunc):
                 out = b
         result = ufunc(a, b) if out is None else ufunc(a, b, out=out)
         self._record_ufunc(ufunc, "__call__", (a, b), result)
-        if tracer is not None:
-            tracer.note2(ufunc, a, b, result)
         if result.ndim:
             wrapped = _MP_NEW(MPArray)
             wrapped._data = result
@@ -1140,14 +1086,6 @@ def _make_rbinop(ufunc):
         else:
             return ufunc(other, self)
         a = self._data
-        tracer = self._profile.fuse
-        if tracer is not None:
-            fused = tracer.offer2(ufunc, b, a)
-            if fused is not None:
-                wrapped = _MP_NEW(MPArray)
-                wrapped._data = fused
-                wrapped._profile = self._profile
-                return wrapped
         out = None
         if (
             reusable
@@ -1167,8 +1105,6 @@ def _make_rbinop(ufunc):
             out = a
         result = ufunc(b, a) if out is None else ufunc(b, a, out=out)
         self._record_ufunc(ufunc, "__call__", (b, a), result)
-        if tracer is not None:
-            tracer.note2(ufunc, b, a, result)
         if result.ndim:
             wrapped = _MP_NEW(MPArray)
             wrapped._data = result
@@ -1182,14 +1118,6 @@ def _make_rbinop(ufunc):
 def _make_unop(ufunc):
     def op(self):
         a = self._data
-        tracer = self._profile.fuse
-        if tracer is not None:
-            fused = tracer.offer1(ufunc, a)
-            if fused is not None:
-                wrapped = _MP_NEW(MPArray)
-                wrapped._data = fused
-                wrapped._profile = self._profile
-                return wrapped
         if (
             _FAST_MODE
             and a.dtype.kind == "f"
@@ -1202,8 +1130,6 @@ def _make_unop(ufunc):
         else:
             result = ufunc(a)
         self._record_ufunc(ufunc, "__call__", (a,), result)
-        if tracer is not None:
-            tracer.note1(ufunc, a, result)
         if result.ndim:
             wrapped = _MP_NEW(MPArray)
             wrapped._data = result
@@ -1291,9 +1217,9 @@ MPArray.__neg__ = _make_unop(np.negative)
 MPArray.__abs__ = _make_unop(np.absolute)
 
 
-#: NumPy functions that write into an argument in place: the fusion
-#: tracer must treat a call to any of these as a foreign mutation
-#: (resolved at call time, so the set may live below the class body).
+#: NumPy functions that write into an argument in place: quantised
+#: storage re-rounds after any of these (resolved at call time, so the
+#: set may live below the class body).
 _MUTATING_FUNCTIONS = frozenset({np.copyto, np.put, np.place, np.putmask})
 
 _FUNCTION_HANDLERS: dict[Callable, Callable[[Profile, Any, Any], None]] = {

@@ -103,7 +103,7 @@ class Profile:
         "ops", "bytes_read", "bytes_written", "cast_elements",
         "gather_elements", "ufunc_calls", "io_bytes", "peak_footprint",
         "alloc_storage_bytes", "alloc_modeled_bytes",
-        "_live_footprint", "fuse",
+        "_live_footprint",
     )
 
     def __init__(
@@ -134,23 +134,6 @@ class Profile:
         self.alloc_storage_bytes = alloc_storage_bytes
         self.alloc_modeled_bytes = alloc_modeled_bytes
         self._live_footprint = 0
-        # Optional trace-fusion recorder (repro.runtime.fuse).  The
-        # workspace installs one per execution; ``None`` means every op
-        # runs interpreted.  Not a counter: excluded from equality and
-        # from pickling (tracers hold compiled code and weakrefs).
-        self.fuse = None
-
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "fuse"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.fuse = None
 
     def __repr__(self) -> str:
         return (

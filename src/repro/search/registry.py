@@ -66,7 +66,9 @@ def canonical_name(name: str) -> str:
 
 
 def available_strategies() -> tuple[str, ...]:
-    return ALGORITHM_ORDER
+    """Canonical name of every registered strategy, in registration
+    order (the paper's six first, then the extensions)."""
+    return tuple(dict.fromkeys(_CANONICAL.values()))
 
 
 def strategy_kwargs(name: str, *, rounding: str | None = None) -> dict:

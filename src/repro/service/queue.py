@@ -47,7 +47,6 @@ def state_paths(state_dir: str | Path) -> dict[str, Path]:
         "root": root,
         "journal": root / "service.jsonl",
         "cache": root / "cache",
-        "fuse": root / "fuse",
         "runs": root / "runs",
         "jobs": root / "jobs",
         "spool": root / "spool",

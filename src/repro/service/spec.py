@@ -61,9 +61,6 @@ class GridSpec:
     max_retries: int = 0
     prune: bool = False
     shadow: bool = False
-    #: trace-fusion fast path toggle (bit-identical either way; a
-    #: submission with ``fuse=False`` runs its shards interpreted)
-    fuse: bool = True
     #: store-rounding mode for emulated formats ("nearest" or
     #: "stochastic"); only the bit-width bisection strategy consumes it
     rounding: str = "nearest"
@@ -105,7 +102,6 @@ class GridSpec:
             max_retries=self.max_retries,
             prune=self.prune,
             shadow=self.shadow,
-            fuse=self.fuse,
             rounding=self.rounding,
             screen=self.screen,
         )
@@ -138,7 +134,6 @@ class GridSpec:
             "max_retries": self.max_retries,
             "prune": self.prune,
             "shadow": self.shadow,
-            "fuse": self.fuse,
             # Only serialised when set: specs that never touch emulated
             # formats keep their pre-format JSON shape, so their content
             # digests (and therefore job identifiers) are unchanged.
@@ -153,10 +148,13 @@ class GridSpec:
         known = {
             "programs", "algorithms", "thresholds", "max_evaluations",
             "time_limit_seconds", "executor", "executor_workers",
-            "trial_timeout", "max_retries", "prune", "shadow", "fuse",
+            "trial_timeout", "max_retries", "prune", "shadow",
             "rounding", "screen",
         }
-        unknown = set(payload) - known
+        # Ledger records and spool requests written by older releases
+        # carry a ``fuse`` execution flag that never affected results;
+        # it is accepted and discarded.
+        unknown = set(payload) - known - {"fuse"}
         if unknown:
             raise SpecError(f"unknown grid spec field(s): {sorted(unknown)}")
         try:
@@ -174,7 +172,6 @@ class GridSpec:
                 max_retries=int(payload.get("max_retries", 0)),
                 prune=bool(payload.get("prune", False)),
                 shadow=bool(payload.get("shadow", False)),
-                fuse=bool(payload.get("fuse", True)),
                 rounding=payload.get("rounding", "nearest"),
                 screen=bool(payload.get("screen", False)),
             )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.search import registry
 
 
 class TestParser:
@@ -16,6 +17,15 @@ class TestParser:
         args = build_parser().parse_args(["search", "tridiag"])
         assert args.algorithm == "DD"
         assert args.threshold is None
+
+    def test_algorithm_help_lists_every_registered_strategy(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["search", "--help"])
+        out = capsys.readouterr().out
+        canonical = set(registry._CANONICAL.values())
+        assert {"HRC", "RS", "LD", "BW"} <= canonical
+        for name in canonical:
+            assert f"'{name}'" in out
 
 
 class TestCommands:

@@ -24,7 +24,6 @@ from repro.benchmarks.base import (
     available_benchmarks, clear_process_caches, get_benchmark,
 )
 from repro.core.types import Precision, PrecisionConfig
-from repro.runtime import fuse as _fuse
 from repro.runtime import memory as mp_memory
 from repro.runtime import mparray as _mparray
 from repro.runtime.memory import Workspace
@@ -120,49 +119,6 @@ class TestLoweredExactness:
         for result in (cold, warm):
             assert result.profile.summary() == ref.profile.summary()
             assert result.modeled_seconds == ref.modeled_seconds
-
-
-@pytest.mark.parametrize("name", ALL_BENCHMARKS)
-class TestFusionExactness:
-    """Every benchmark: the trace-fusion fast path (on by default in
-    ``suite_runs``'s cold and warm executions) must be byte-identical
-    to the interpreted fast path with fusion forced off."""
-
-    def test_interpreted_matches_fused(self, name, suite_runs):
-        ref, cold, warm = suite_runs(name, PrecisionConfig())
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prev = _fuse.set_fusion_enabled(False)
-            try:
-                clear_process_caches()
-                interpreted = get_benchmark(name).execute(PrecisionConfig())
-            finally:
-                _fuse.set_fusion_enabled(prev)
-        reference = np.asarray(ref.output)
-        output = np.asarray(interpreted.output)
-        assert output.tobytes() == reference.tobytes()
-        assert interpreted.profile.summary() == ref.profile.summary()
-        assert interpreted.modeled_seconds == ref.modeled_seconds
-
-
-def test_suite_produces_fused_coverage(exact_env):
-    """The fusion machinery is actually engaged by the suite: warm
-    repetitions of fusion-friendly benchmarks compile regions and
-    replay ops through them (guarding against a silent regression that
-    quietly falls back to interpreted everywhere)."""
-    if not _fuse.fusion_enabled():
-        pytest.skip("fusion disabled via MIXPBENCH_FUSE")
-    _fuse.reset_registry()
-    _fuse.STATS.reset()
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in ("lavamd", "hotspot", "cfd"):
-            clear_process_caches()
-            bench = get_benchmark(name)
-            bench.execute(PrecisionConfig())
-            bench.execute(PrecisionConfig())
-    assert _fuse.STATS.regions_compiled > 0
-    assert _fuse.STATS.fused_ops > 0
 
 
 class TestElisionSafety:

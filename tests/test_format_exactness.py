@@ -7,8 +7,8 @@ output bits, same profile summary, same modeled time.  This is the
 suite enforcing the PR's hard invariant — the emulated-format
 machinery may not perturb anything that does not actually drop bits.
 
-Every benchmark is checked cold and warm (so the fuse-cache replay
-path is proven exact too) and once more with fusion forced off.
+Every benchmark is checked cold and warm, so the per-process caches
+(RNG replay, inputs, recording signatures) are proven exact too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.benchmarks.base import (
     available_benchmarks, clear_process_caches, get_benchmark,
 )
 from repro.core.types import Precision, get_format
-from repro.runtime import fuse as _fuse
 
 ALL_BENCHMARKS = available_benchmarks()
 
@@ -47,25 +46,20 @@ def exact_env(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def suite_runs(exact_env):
-    """Execute each (benchmark, config, fuse) once cold and once warm,
+    """Execute each (benchmark, config) once cold and once warm,
     lazily, sharing results across the alias/oracle comparisons."""
     cache: dict = {}
 
-    def run(name: str, config, fuse: bool = True):
-        key = (name, config.digest(), fuse)
+    def run(name: str, config):
+        key = (name, config.digest())
         if key not in cache:
             # lowered configs are allowed to overflow (srad is designed
             # to); warnings-as-errors is test_apps' job, not this suite's
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                prev = _fuse.set_fusion_enabled(False) if not fuse else None
-                try:
-                    clear_process_caches()
-                    cold = get_benchmark(name).execute(config)
-                    warm = get_benchmark(name).execute(config)
-                finally:
-                    if not fuse:
-                        _fuse.set_fusion_enabled(prev)
+                clear_process_caches()
+                cold = get_benchmark(name).execute(config)
+                warm = get_benchmark(name).execute(config)
             cache[key] = (cold, warm)
         return cache[key]
 
@@ -102,22 +96,3 @@ class TestStorageExactAliases:
         for ref, got in ((ref_cold, got_cold), (ref_warm, got_warm)):
             assert got.profile.summary() == ref.profile.summary()
             assert got.modeled_seconds == ref.modeled_seconds
-
-    def test_unfused_bit_identical(self, name, alias, builtin, suite_runs):
-        emulated, oracle = _configs(name, alias, builtin)
-        ref, _ = suite_runs(name, oracle, fuse=False)
-        got, _ = suite_runs(name, emulated, fuse=False)
-        assert np.asarray(got.output).tobytes() == np.asarray(ref.output).tobytes()
-        assert got.profile.summary() == ref.profile.summary()
-        assert got.modeled_seconds == ref.modeled_seconds
-
-    def test_unfused_matches_fused(self, name, alias, builtin, suite_runs):
-        """The emulated spelling is fusion-invariant on its own, not
-        just equal to the oracle on both paths."""
-        emulated, _ = _configs(name, alias, builtin)
-        fused, _ = suite_runs(name, emulated)
-        unfused, _ = suite_runs(name, emulated, fuse=False)
-        assert (
-            np.asarray(unfused.output).tobytes()
-            == np.asarray(fused.output).tobytes()
-        )

@@ -75,11 +75,10 @@ class TestConfigParsing:
             parse_config({"x": {"runs": 0}})
 
     def test_fuse_key_parses_and_validates(self):
-        assert parse_config({"x": {"fuse": False}})[0].fuse is False
-        assert parse_config({"x": {"fuse": True}})[0].fuse is True
-        assert parse_config({"x": {}})[0].fuse is None  # harness default
-        with pytest.raises(HarnessConfigError, match="fuse"):
-            parse_config({"x": {"fuse": "yes please"}})
+        # ``fuse`` is no longer a harness key
+        for value in (False, True):
+            with pytest.raises(HarnessConfigError, match="unknown keys.*fuse"):
+                parse_config({"x": {"fuse": value}})
 
     def test_analysis_requires_name(self):
         with pytest.raises(HarnessConfigError, match="'name'"):
