@@ -124,14 +124,15 @@ class Benchmark(ABC):
 
     def _shared_state(self) -> dict:
         """Per-process cache slot for this fingerprint (inputs, report,
-        RNG replay stream) shared across benchmark instances."""
+        RNG replay stream, shadow report) shared across benchmark
+        instances.  ``setdefault`` is atomic, so instances touching the
+        slot concurrently for the first time all get the same one."""
         state = self._state
         if state is None:
-            key = self.inputs_fingerprint()
-            state = _PROCESS_STATE.get(key)
-            if state is None:
-                state = _PROCESS_STATE[key] = {"rng": RNGReplayCache()}
-            self._state = state
+            state = self._state = _PROCESS_STATE.setdefault(
+                self.inputs_fingerprint(),
+                {"rng": RNGReplayCache(), "lock": threading.Lock()},
+            )
         return state
 
     # -- to implement -------------------------------------------------------
@@ -261,8 +262,10 @@ class ApplicationBenchmark(Benchmark):
 
 
 #: per-process shared state: inputs fingerprint -> {"inputs", "report",
-#: "rng"}.  See :meth:`Benchmark.inputs_fingerprint` for the
-#: invalidation rule.
+#: "rng", "sensitivity", "lock"}.  "sensitivity" is the default shadow
+#: report (:func:`repro.shadow.report.shared_sensitivity`); "lock"
+#: guards its one-time computation.  See
+#: :meth:`Benchmark.inputs_fingerprint` for the invalidation rule.
 _PROCESS_STATE: dict[tuple, dict] = {}
 
 

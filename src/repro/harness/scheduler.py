@@ -208,8 +208,9 @@ def run_shard(
         shadow_info = None
         if job.shadow:
             # The shadow run is a pure in-process function of the
-            # benchmark: recomputing it in each worker is deterministic
-            # and identical across serial/thread/process execution.
+            # benchmark: computed once per worker process (shared by
+            # its threads and by certification below), it is identical
+            # across serial/thread/process execution.
             from repro.shadow import shadow_guidance
 
             location_order, shadow_info = shadow_guidance(bench)
@@ -217,7 +218,8 @@ def run_shard(
         screen_info = None
         if job.screen:
             # Like the shadow run, certification is a deterministic
-            # in-process function of the benchmark.
+            # in-process function of the benchmark; it reuses the
+            # shared shadow report.
             from repro.typeforge.errorbound import certify_benchmark
 
             _, certificate = certify_benchmark(bench)

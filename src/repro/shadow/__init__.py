@@ -19,7 +19,7 @@ from repro.shadow.order import ShadowOrder
 from repro.shadow.recommend import Recommendation, recommend_and_verify
 from repro.shadow.report import (
     SensitivityReport, VariableSensitivity, run_shadow_analysis,
-    shadow_guidance,
+    shadow_guidance, shared_sensitivity,
 )
 
 __all__ = [
@@ -33,4 +33,5 @@ __all__ = [
     "VariableSensitivity",
     "run_shadow_analysis",
     "shadow_guidance",
+    "shared_sensitivity",
 ]

@@ -4,7 +4,9 @@
 :mod:`repro.shadow.engine` workspace and distils the collected
 per-variable statistics into a :class:`SensitivityReport` — the
 artifact behind ``mixpbench sensitivity``, the ``--order shadow``
-guided-search ordering and the ``shadow-stats`` experiment table.
+guided-search ordering, the ``--screen`` certificate and the
+``shadow-stats`` experiment table.  The default-precision report is
+shared per process (:func:`shared_sensitivity`).
 
 The analysis is a pure in-process function of the benchmark (inputs
 are the same deterministic set every trial uses), so it is trivially
@@ -29,7 +31,7 @@ from repro.verify.metrics import _relative_divergence_core
 
 __all__ = [
     "VariableSensitivity", "SensitivityReport", "run_shadow_analysis",
-    "shadow_guidance",
+    "shadow_guidance", "shared_sensitivity",
 ]
 
 #: default shadow precisions: fp32 always; fp16 is opt-in (it
@@ -250,11 +252,32 @@ class SensitivityReport:
         return format_table(headers, rows, title)
 
 
+def shared_sensitivity(benchmark: Benchmark) -> SensitivityReport:
+    """The default-precision report, computed at most once per process
+    for the benchmark's inputs fingerprint.
+
+    The run is deterministic, so ``--order shadow`` guidance and
+    ``--screen`` certification read one shared (frozen) report instead
+    of each paying for a shadow execution.  Concurrent callers for the
+    same fingerprint wait on the slot's lock for the single run;
+    different programs never contend.  :func:`run_shadow_analysis`
+    itself stays uncached.
+    """
+    state = benchmark._shared_state()
+    report = state.get("sensitivity")
+    if report is None:
+        with state["lock"]:
+            report = state.get("sensitivity")
+            if report is None:
+                report = state["sensitivity"] = run_shadow_analysis(benchmark)
+    return report
+
+
 def shadow_guidance(benchmark: Benchmark) -> tuple[ShadowOrder, dict]:
     """One shadow run distilled into evaluator guidance: the
     ``(location_order, shadow_info)`` pair CLI/harness/scheduler hand
     to :class:`~repro.core.evaluator.ConfigurationEvaluator`."""
-    report = run_shadow_analysis(benchmark)
+    report = shared_sensitivity(benchmark)
     return report.ordering(), report.summary()
 
 
