@@ -44,3 +44,73 @@ def test_job_identity_golden(overrides, digest, fingerprint):
     assert grid_fingerprint(spec.jobs()) == fingerprint
     # the spool round trip names the same job
     assert GridSpec.from_json_dict(spec.to_json_dict()).digest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Front-end parity on real benchmarks: the same options through
+# ``mixpbench search``, a YAML harness entry and a scheduler shard build
+# the same search.
+
+PARITY_CASES = [
+    ("hpccg", "HR", {"prune": True, "shadow": True, "screen": True}),
+    ("eos", "BW", {"rounding": "stochastic", "screen": True}),
+]
+
+
+def _cli_flags(options: dict) -> list[str]:
+    flags = []
+    if options.get("prune"):
+        flags.append("--prune")
+    if options.get("shadow"):
+        flags += ["--order", "shadow"]
+    if "rounding" in options:
+        flags += ["--rounding", options["rounding"]]
+    if options.get("screen"):
+        flags.append("--screen")
+    return flags
+
+
+@pytest.mark.parametrize(
+    "program, algorithm, options", PARITY_CASES, ids=["hpccg-HR", "eos-BW"],
+)
+def test_front_ends_build_the_same_search(program, algorithm, options, data_env):
+    from repro.benchmarks.base import get_benchmark
+    from repro.core.results import SearchOutcome
+    from repro.harness.cli import main
+    from repro.harness.config import parse_config
+    from repro.harness.runner import Harness
+    from repro.harness.scheduler import SearchJob, run_shard
+
+    saved = data_env / "search.json"
+    assert main([
+        "search", program, "--algorithm", algorithm, "--no-cache",
+        "--output-dir", str(data_env / "cli"), "--save", str(saved),
+        *_cli_flags(options),
+    ]) == 0
+    direct = SearchOutcome.load(saved)
+
+    entry = parse_config({program: {
+        **options,
+        "analysis": {"fs": {
+            "name": "floatSmith", "extra_args": {"algorithm": algorithm},
+        }},
+    }})[0]
+    (harnessed,) = Harness(
+        output_dir=data_env / "harness", use_cache=False,
+    ).run_entry(entry).analyses
+
+    shard = run_shard(SearchJob(
+        program=program, algorithm=algorithm,
+        threshold=get_benchmark(program).default_threshold, **options,
+    ))
+    assert shard.ok, shard.error
+    scheduled = shard.outcome
+
+    assert direct.evaluations == harnessed.evaluations == scheduled.evaluations
+    assert direct.final.config == harnessed.config == scheduled.final.config
+    assert direct.error_value == harnessed.error_value == scheduled.error_value
+    for key in ("prune", "shadow", "screen"):
+        expected = direct.metadata.get(key) or {}
+        assert (key in options) == bool(expected), key
+        assert getattr(harnessed, key) == expected, key
+        assert (scheduled.metadata.get(key) or {}) == expected, key
