@@ -8,10 +8,11 @@ static error-bound certificate
 (:func:`repro.typeforge.errorbound.certify_benchmark`) attached as a
 screening filter.  The table reports evaluation counts and best
 verified errors side by side; ``skipped`` is how many configurations
-the certificate rejected without running.  Screening is sound by
-construction — it only skips configurations whose certified error
-*lower bound* already violates the threshold, never accepts one — so
-the ``equal`` column must read ``yes`` on every row.
+the certificate rejected without running.  Screening only skips
+configurations whose certified error *lower bound* already violates
+the threshold, and every kept configuration is still executed and
+verified; the ``equal`` column reports whether the screened search
+ends at the same verified error (see docs/error-bounds.md).
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from __future__ import annotations
 import math
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.harness.reporting import format_quality, format_table, write_csv
-from repro.search.registry import make_strategy
-from repro.typeforge.errorbound import certify_benchmark
+from repro.harness.session import SearchOptions, open_session
 
 __all__ = ["rows", "render", "run", "HEADERS", "PAIRS"]
 
@@ -49,16 +48,11 @@ PAIRS = (
 
 def _search(program: str, algorithm: str, screened: bool):
     bench = get_benchmark(program)
-    screen = None
-    screen_info = None
-    if screened:
-        _, screen = certify_benchmark(bench)
-        screen_info = screen.info()
-    evaluator = ConfigurationEvaluator(
-        bench, screen=screen, screen_info=screen_info,
+    evaluator, strategy = open_session(
+        bench, SearchOptions(screen=screened),
+        quality=bench.quality, algorithm=algorithm,
     )
-    outcome = make_strategy(algorithm).run(evaluator)
-    return outcome, evaluator.stats.screened
+    return strategy.run(evaluator), evaluator.stats.screened
 
 
 def rows() -> list[list]:

@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.harness.reporting import format_quality, format_table, write_csv
-from repro.search.registry import make_strategy
-from repro.shadow import shadow_guidance
+from repro.harness.session import SearchOptions, open_session
 
 __all__ = ["rows", "render", "run", "HEADERS", "PAIRS"]
 
@@ -46,14 +44,11 @@ PAIRS = (
 
 def _search(program: str, algorithm: str, guided: bool):
     bench = get_benchmark(program)
-    location_order = None
-    shadow_info = None
-    if guided:
-        location_order, shadow_info = shadow_guidance(bench)
-    evaluator = ConfigurationEvaluator(
-        bench, location_order=location_order, shadow_info=shadow_info,
+    evaluator, strategy = open_session(
+        bench, SearchOptions(shadow=guided),
+        quality=bench.quality, algorithm=algorithm,
     )
-    return make_strategy(algorithm).run(evaluator)
+    return strategy.run(evaluator)
 
 
 def rows() -> list[list]:

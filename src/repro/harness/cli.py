@@ -32,12 +32,18 @@ from repro.harness.reporting import (
     format_screen_stats, format_shadow_stats, format_speedup, format_table,
 )
 from repro.harness.runner import Harness
-from repro.search.registry import (
-    available_strategies, make_strategy, strategy_kwargs,
-)
+from repro.harness.session import SearchOptions, open_session
+from repro.search.registry import available_strategies
 from repro.verify.quality import QualitySpec
 
 __all__ = ["main", "build_parser"]
+
+#: how ``search`` and ``run`` print each search option's metadata block
+_OPTION_BLOCKS = (
+    ("prune", "pruned", format_prune_stats),
+    ("shadow", "shadow", format_shadow_stats),
+    ("screen", "screen", format_screen_stats),
+)
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,34 +77,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--max-retries", type=int, default=0, metavar="N",
         help="retry transient worker failures up to N times with "
              "exponential backoff (default: 0, no retries)",
-    )
-
-
-def _add_order_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--order", choices=["none", "shadow"], default="none",
-        help="search-location ordering: 'shadow' runs one shadow "
-             "sensitivity analysis and enumerates locations "
-             "most-sensitive-first (default: none)",
-    )
-
-
-def _add_screen_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--screen", action="store_true",
-        help="skip configurations whose statically certified error "
-             "lower bound already violates the threshold (sound: "
-             "screening only skips, never accepts — the verified error "
-             "of the result matches the unscreened search)",
-    )
-
-
-def _add_rounding_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--rounding", choices=["nearest", "stochastic"], default="nearest",
-        help="store-rounding mode for emulated e8m*/e11m* formats "
-             "(consumed by the BW bit-width bisection strategy; "
-             "default: nearest, i.e. round-to-nearest-even)",
     )
 
 
@@ -178,13 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a YAML harness configuration")
     run.add_argument("config")
     run.add_argument("--output-dir", default="results")
-    run.add_argument(
-        "--prune", action="store_true",
-        help="restrict each search space with the static dataflow pruner",
-    )
-    _add_order_flag(run)
-    _add_rounding_flag(run)
-    _add_screen_flag(run)
+    SearchOptions.add_arguments(run)
     _add_execution_flags(run)
 
     search = sub.add_parser("search", help="run one mixed-precision search")
@@ -205,13 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None, metavar="PATH",
         help="also save the SearchOutcome as interchange JSON",
     )
-    search.add_argument(
-        "--prune", action="store_true",
-        help="restrict the search space with the static dataflow pruner",
-    )
-    _add_order_flag(search)
-    _add_rounding_flag(search)
-    _add_screen_flag(search)
+    SearchOptions.add_arguments(search)
     _add_execution_flags(search)
 
     grid = sub.add_parser(
@@ -241,13 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a journaled run: skip finished jobs, replay "
              "completed trials, continue from the cut point",
     )
-    grid.add_argument(
-        "--prune", action="store_true",
-        help="restrict every job's search space with the static dataflow pruner",
-    )
-    _add_order_flag(grid)
-    _add_rounding_flag(grid)
-    _add_screen_flag(grid)
+    SearchOptions.add_arguments(grid)
     grid.add_argument("--output-dir", default="results")
     _add_execution_flags(grid)
 
@@ -355,13 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries", type=int, default=0, metavar="N",
         help="retry transient worker failures up to N times",
     )
-    submit.add_argument(
-        "--prune", action="store_true",
-        help="restrict every shard's search space with the static pruner",
-    )
-    _add_order_flag(submit)
-    _add_rounding_flag(submit)
-    _add_screen_flag(submit)
+    SearchOptions.add_arguments(submit)
     submit.add_argument(
         "--ack-timeout", type=float, default=30.0, metavar="SECONDS",
         help="how long to wait for the daemon to acknowledge (default: 30)",
@@ -495,21 +449,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace=args.trace,
         trial_timeout=args.trial_timeout,
         max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
+        options=SearchOptions.from_args(args),
     )
     for report in harness.run_file(args.config):
         print(f"\n{report.name} ({report.metric} <= {report.threshold:g})")
         rows = []
-        pruned = False
-        shadowed = False
-        screened = False
         for a in report.analyses:
-            pruned = pruned or bool(a.prune)
-            shadowed = shadowed or bool(a.shadow)
-            screened = screened or bool(a.screen)
             rows.append([
                 a.identifier, a.strategy, a.evaluations,
                 f"{a.analysis_hours:.2f}h",
@@ -521,18 +466,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ["analysis", "strategy", "EV", "time", "status", "SU", "AC",
              "evaluation"], rows,
         ))
-        if pruned:
+        for key, label, render in _OPTION_BLOCKS:
             for a in report.analyses:
-                if a.prune:
-                    print(f"  {a.identifier}: pruned {format_prune_stats(a.prune)}")
-        if shadowed:
-            for a in report.analyses:
-                if a.shadow:
-                    print(f"  {a.identifier}: shadow {format_shadow_stats(a.shadow)}")
-        if screened:
-            for a in report.analyses:
-                if a.screen:
-                    print(f"  {a.identifier}: screen {format_screen_stats(a.screen)}")
+                if getattr(a, key):
+                    print(f"  {a.identifier}: {label} {render(getattr(a, key))}")
     return 0
 
 
@@ -637,39 +574,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         trace = TraceWriter(
             output_dir / "traces" / f"{bench.name}-{args.algorithm}.jsonl"
         )
-    space_override = None
-    prune_info = None
-    if args.prune:
-        from repro.typeforge.prune import prune_report
-
-        tf_report = bench.report()
-        pruned = prune_report(tf_report)
-        space_override = pruned.space
-        prune_info = pruned.stats(tf_report.search_space())
-    location_order = None
-    shadow_info = None
-    if args.order == "shadow":
-        from repro.shadow import shadow_guidance
-
-        location_order, shadow_info = shadow_guidance(bench)
-    screen = None
-    screen_info = None
-    if args.screen:
-        from repro.typeforge.errorbound import certify_benchmark
-
-        _, screen = certify_benchmark(bench)
-        screen_info = screen.info()
     try:
-        evaluator = ConfigurationEvaluator(
-            bench, quality=quality, max_evaluations=args.max_evaluations,
-            timing=timing, executor=executor, cache=cache, trace=trace,
-            space_override=space_override, prune_info=prune_info,
-            location_order=location_order, shadow_info=shadow_info,
-            screen=screen, screen_info=screen_info,
-        )
-        strategy = make_strategy(
-            args.algorithm,
-            **strategy_kwargs(args.algorithm, rounding=args.rounding),
+        evaluator, strategy = open_session(
+            bench, SearchOptions.from_args(args),
+            quality=quality, algorithm=args.algorithm,
+            max_evaluations=args.max_evaluations, timing=timing,
+            executor=executor, cache=cache, trace=trace,
         )
         outcome = strategy.run(evaluator)
     finally:
@@ -682,12 +592,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"  analysis time: {outcome.analysis_seconds / 3600.0:.2f} simulated hours")
     stats = outcome.metadata.get("eval_stats") or {}
     print(f"  evaluation: {format_eval_stats(stats)}")
-    if prune_info is not None:
-        print(f"  pruned: {format_prune_stats(prune_info)}")
-    if shadow_info is not None:
-        print(f"  shadow: {format_shadow_stats(shadow_info)}")
-    if screen_info is not None:
-        print(f"  screen: {format_screen_stats(outcome.metadata.get('screen'))}")
+    for key, label, render in _OPTION_BLOCKS:
+        if key in outcome.metadata:
+            print(f"  {label}: {render(outcome.metadata[key])}")
     if outcome.found_solution:
         print(f"  speedup: {format_speedup(outcome.speedup)}")
         print(f"  quality: {format_quality(outcome.error_value)}")
@@ -703,27 +610,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.harness.scheduler import grid_jobs, run_grid
+    from repro.harness.scheduler import run_grid
 
     output_dir = Path(args.output_dir)
     run_id = args.run_id or args.resume
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or str(output_dir / "cache")
-    jobs = grid_jobs(
-        args.programs, args.algorithms, args.thresholds,
-        time_limit_seconds=args.time_limit_hours * 3600.0,
-        max_evaluations=args.max_evaluations,
-        executor=args.executor,
-        executor_workers=args.workers,
-        cache_dir=cache_dir,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
-    )
+    jobs = _grid_spec(args).jobs(cache_dir)
     results = run_grid(
         jobs, workers=args.grid_workers,
         run_id=run_id, resume=args.resume,
@@ -772,7 +666,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _submit_spec(args: argparse.Namespace):
+def _grid_spec(args: argparse.Namespace):
+    """The grid ``grid`` runs and ``submit`` queues: one spec for both."""
     from repro.service import GridSpec
 
     return GridSpec(
@@ -785,10 +680,7 @@ def _submit_spec(args: argparse.Namespace):
         executor_workers=args.workers,
         trial_timeout=args.trial_timeout,
         max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
+        **vars(SearchOptions.from_args(args)),
     )
 
 
@@ -814,7 +706,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import submit_request
 
-    spec = _submit_spec(args)
+    spec = _grid_spec(args)
     job_id = submit_request(
         args.state_dir, spec, tenant=args.tenant, timeout=args.ack_timeout,
     )

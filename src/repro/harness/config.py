@@ -13,32 +13,36 @@ The harness is driven by a per-benchmark YAML file::
       executor: process          # batch executor: serial/thread/process
       workers: 4                 # worker count for thread/process
       cache: true                # persistent evaluation cache on/off
+      shadow: true               # search options: prune/shadow/rounding/screen
       analysis:
         floatsmith:              # analysis id
           name: floatSmith       # plugin name in the registry
           extra_args:
             algorithm: ddebug    # search strategy
 
+The search-option keys (``prune``, ``shadow``, ``rounding``, ``screen``)
+are validated by :meth:`repro.harness.session.SearchOptions.parse`.
 Unknown keys are rejected so typos fail loudly.  ``load_config``
 returns one :class:`HarnessConfig` per top-level key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
 from repro.errors import HarnessConfigError
+from repro.harness.session import SearchOptions
 
 __all__ = ["AnalysisSpec", "HarnessConfig", "load_config", "parse_config"]
 
 _TOP_KEYS = {
     "benchmark", "build", "build_dir", "clean", "metric", "threshold",
     "runs", "time_limit_hours", "analysis", "args", "bin", "copy", "output",
-    "executor", "workers", "cache", "prune", "shadow", "rounding", "screen",
+    "executor", "workers", "cache", *(f.name for f in fields(SearchOptions)),
 }
 
 _EXECUTOR_NAMES = ("serial", "thread", "process")
@@ -73,15 +77,9 @@ class HarnessConfig:
     workers: int | None = None
     #: persistent evaluation cache toggle; None inherits
     cache: bool | None = None
-    #: static search-space pruning toggle; None inherits
-    prune: bool | None = None
-    #: shadow-guided search ordering toggle; None inherits
-    shadow: bool | None = None
-    #: emulated-format store-rounding mode ("nearest"/"stochastic");
-    #: None inherits
-    rounding: str | None = None
-    #: certified error-bound screening toggle; None inherits
-    screen: bool | None = None
+    #: the search options this entry sets (see SearchOptions); the
+    #: others inherit the harness-wide values
+    options: dict[str, Any] = field(default_factory=dict, hash=False)
 
     def analysis(self, identifier: str) -> AnalysisSpec:
         for spec in self.analyses:
@@ -172,32 +170,7 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
             f"{source}: {name}: cache must be a boolean"
         )
 
-    prune = body.get("prune")
-    if prune is not None and not isinstance(prune, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: prune must be a boolean"
-        )
-
-    shadow = body.get("shadow")
-    if shadow is not None and not isinstance(shadow, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: shadow must be a boolean"
-        )
-
-    screen = body.get("screen")
-    if screen is not None and not isinstance(screen, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: screen must be a boolean"
-        )
-
-    rounding = body.get("rounding")
-    if rounding is not None:
-        rounding = str(rounding).strip().lower()
-        if rounding not in ("nearest", "stochastic"):
-            raise HarnessConfigError(
-                f"{source}: {name}: rounding must be 'nearest' or "
-                f"'stochastic', got {rounding!r}"
-            )
+    options = SearchOptions.parse(body, HarnessConfigError, f"{source}: {name}: ")
 
     analyses = []
     for identifier, spec in (body.get("analysis") or {}).items():
@@ -225,8 +198,5 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
         executor=executor,
         workers=workers,
         cache=cache,
-        prune=prune,
-        shadow=shadow,
-        rounding=rounding,
-        screen=screen,
+        options=options,
     )

@@ -25,11 +25,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.benchmarks.base import Benchmark
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.results import SearchOutcome
 from repro.errors import PluginError
-from repro.search.registry import make_strategy
-from repro.search.registry import strategy_kwargs as _registry_kwargs
+from repro.harness.session import SearchOptions, open_session
 from repro.verify.quality import QualitySpec
 
 __all__ = [
@@ -42,11 +40,12 @@ __all__ = [
 class DeployedApp:
     """A benchmark deployed by the harness, ready to be analysed.
 
-    The three optional fields carry the harness's execution services
-    down to the plugin's evaluator: a batch executor for parallel
-    configuration evaluation, a persistent evaluation cache, and a
-    trace writer for telemetry.  Plugins that ignore them keep the
-    original serial behaviour.
+    ``executor``, ``cache`` and ``trace`` carry the harness's execution
+    services down to the plugin's evaluator: a batch executor for
+    parallel configuration evaluation, a persistent evaluation cache,
+    and a trace writer for telemetry.  Plugins that ignore them keep
+    the original serial behaviour.  ``options`` are the search options
+    the harness resolved for this entry.
     """
 
     benchmark: Benchmark
@@ -57,15 +56,7 @@ class DeployedApp:
     executor: Any = None
     cache: Any = None
     trace: Any = None
-    #: restrict the search space with the static dataflow pruner
-    prune: bool = False
-    #: order search locations by shadow-run sensitivity
-    shadow: bool = False
-    #: emulated-format store-rounding mode ("nearest"/"stochastic")
-    rounding: str = "nearest"
-    #: skip configurations whose certified error bound violates the
-    #: threshold (sound: skips only, never accepts)
-    screen: bool = False
+    options: SearchOptions = SearchOptions()
 
 
 @dataclass
@@ -97,10 +88,6 @@ class FloatSmithPlugin(AnalysisPlugin):
         algorithm = str(extra_args.pop("algorithm", "ddebug"))
         strategy_kwargs = dict(extra_args.pop("strategy_args", {}))
         max_evaluations = extra_args.pop("max_evaluations", None)
-        prune = bool(extra_args.pop("prune", False)) or app.prune
-        shadow = bool(extra_args.pop("shadow", False)) or app.shadow
-        screen = bool(extra_args.pop("screen", False)) or app.screen
-        rounding = str(extra_args.pop("rounding", "") or app.rounding)
         if extra_args:
             raise PluginError(
                 f"floatSmith: unknown extra_args {sorted(extra_args)}"
@@ -108,46 +95,17 @@ class FloatSmithPlugin(AnalysisPlugin):
 
         bench = app.benchmark
         bench.runs_per_config = app.runs_per_config
-        space_override = None
-        prune_info = None
-        if prune:
-            from repro.typeforge.prune import prune_report
-
-            report = bench.report()
-            pruned = prune_report(report)
-            space_override = pruned.space
-            prune_info = pruned.stats(report.search_space())
-        location_order = None
-        shadow_info = None
-        if shadow:
-            from repro.shadow import shadow_guidance
-
-            location_order, shadow_info = shadow_guidance(bench)
-        certificate = None
-        screen_info = None
-        if screen:
-            from repro.typeforge.errorbound import certify_benchmark
-
-            _, certificate = certify_benchmark(bench)
-            screen_info = certificate.info()
-        evaluator = ConfigurationEvaluator(
-            bench,
+        evaluator, strategy = open_session(
+            bench, app.options,
             quality=app.quality,
+            algorithm=algorithm,
+            strategy_args=strategy_kwargs,
             time_limit_seconds=app.time_limit_seconds,
             max_evaluations=max_evaluations,
             executor=app.executor,
             cache=app.cache,
             trace=app.trace,
-            space_override=space_override,
-            prune_info=prune_info,
-            location_order=location_order,
-            shadow_info=shadow_info,
-            screen=certificate,
-            screen_info=screen_info,
         )
-        for key, value in _registry_kwargs(algorithm, rounding=rounding).items():
-            strategy_kwargs.setdefault(key, value)
-        strategy = make_strategy(algorithm, **strategy_kwargs)
         outcome = strategy.run(evaluator)
 
         artifact = app.output_dir / f"{bench.name}-{strategy.strategy_name}.json"

@@ -15,7 +15,7 @@ and speedup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.benchmarks.base import Benchmark, get_benchmark
@@ -25,6 +25,7 @@ from repro.core.telemetry import TraceWriter
 from repro.core.types import PrecisionConfig
 from repro.harness.config import HarnessConfig, load_config
 from repro.harness.plugins import AnalysisResult, DeployedApp, get_plugin
+from repro.harness.session import SearchOptions
 from repro.runtime.cache import EvaluationCache
 from repro.verify.quality import QualitySpec
 
@@ -90,20 +91,11 @@ class Harness:
         wall-clock budget in real seconds and transient-failure retry
         bound (see :class:`repro.core.batch.FaultPolicy` and
         docs/fault-tolerance.md).  Defaults leave fault handling off.
-    prune:
-        Restrict each analysis's search space with the static dataflow
-        pruner (``--prune``; per-entry ``prune:`` overrides; see
-        docs/static-analysis.md).
-    shadow:
-        Order each analysis's search locations by shadow-run
-        sensitivity (``--order shadow``; per-entry ``shadow:``
-        overrides; see docs/shadow-analysis.md).
-    screen:
-        Certified error-bound screening (``--screen``; per-entry
-        ``screen:`` overrides; see docs/error-bounds.md).  Screening
-        only skips statically doomed configurations — it never accepts
-        one, so each analysis's verified error matches the unscreened
-        run.
+    options:
+        Default :class:`~repro.harness.session.SearchOptions` for every
+        entry (``--prune``, ``--order shadow``, ``--rounding``,
+        ``--screen``); an entry's own ``prune:``/``shadow:``/
+        ``rounding:``/``screen:`` keys override them for that entry.
     """
 
     def __init__(
@@ -116,10 +108,7 @@ class Harness:
         trace: bool = False,
         trial_timeout: float | None = None,
         max_retries: int = 0,
-        prune: bool = False,
-        shadow: bool = False,
-        rounding: str = "nearest",
-        screen: bool = False,
+        options: SearchOptions = SearchOptions(),
     ) -> None:
         self.output_dir = Path(output_dir)
         self.executor = executor
@@ -129,10 +118,7 @@ class Harness:
         self.trace = trace
         self.trial_timeout = trial_timeout
         self.max_retries = max_retries
-        self.prune = prune
-        self.shadow = shadow
-        self.rounding = rounding
-        self.screen = screen
+        self.options = options
 
     def run_file(self, path: str | Path) -> list[HarnessReport]:
         """Run every entry of a YAML configuration file."""
@@ -170,10 +156,7 @@ class Harness:
             executor=executor,
             cache=cache,
             trace=trace,
-            prune=entry.prune if entry.prune is not None else self.prune,
-            shadow=entry.shadow if entry.shadow is not None else self.shadow,
-            rounding=entry.rounding if entry.rounding is not None else self.rounding,
-            screen=entry.screen if entry.screen is not None else self.screen,
+            options=replace(self.options, **entry.options),
         )
         try:
             for spec in entry.analyses:

@@ -26,17 +26,17 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.benchmarks.base import get_benchmark
 from repro.core.batch import make_executor
 from repro.core.checkpoint import (
     DEFAULT_RUNS_DIR, JournalTrialStore, RunJournal, job_key,
 )
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.results import SearchOutcome
+from repro.harness.session import SearchOptions, open_session
 from repro.runtime.cache import EvaluationCache
-from repro.search.registry import canonical_name, make_strategy, strategy_kwargs
+from repro.search.registry import canonical_name
 from repro.verify.quality import QualitySpec
 
 __all__ = ["SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs"]
@@ -45,7 +45,7 @@ _DEFAULT_TIME_LIMIT = 24 * 3600.0
 
 
 @dataclass(frozen=True)
-class SearchJob:
+class SearchJob(SearchOptions):
     """One (program, algorithm, threshold) analysis to schedule.
 
     ``executor``/``executor_workers`` select the *intra-job* batch
@@ -55,7 +55,9 @@ class SearchJob:
     evaluation cache shared by every job that names the same path.
     ``trial_timeout``/``max_retries`` configure the executor's
     fault policy (per-trial wall-clock budget, transient-failure
-    retries); see :class:`repro.core.batch.FaultPolicy`.
+    retries); see :class:`repro.core.batch.FaultPolicy`.  The search
+    options (``prune``, ``shadow``, ``rounding``, ``screen``) are the
+    keyword-only fields of :class:`~repro.harness.session.SearchOptions`.
     """
 
     program: str
@@ -69,17 +71,6 @@ class SearchJob:
     cache_dir: str | None = None
     trial_timeout: float | None = None
     max_retries: int = 0
-    #: restrict the search space with the static dataflow pruner
-    prune: bool = False
-    #: order search locations by shadow-run sensitivity
-    shadow: bool = False
-    #: store-rounding mode for emulated formats ("nearest" or
-    #: "stochastic"); consumed by the bit-width bisection strategy,
-    #: ignored by strategies that never emit custom formats
-    rounding: str = "nearest"
-    #: skip configurations whose statically certified error bound
-    #: violates the threshold (sound: skips only, never accepts)
-    screen: bool = False
 
     def label(self) -> str:
         return f"{self.program}/{canonical_name(self.algorithm)}@{self.threshold:g}"
@@ -128,35 +119,20 @@ def grid_jobs(
     programs: Sequence[str],
     algorithms: Sequence[str],
     thresholds: Sequence[float],
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT,
-    max_evaluations: int | None = None,
-    executor: str = "serial",
-    executor_workers: int | None = None,
+    *,
     cache_dir: str | Path | None = None,
-    trial_timeout: float | None = None,
-    max_retries: int = 0,
-    prune: bool = False,
-    shadow: bool = False,
-    rounding: str = "nearest",
-    screen: bool = False,
+    **settings: Any,
 ) -> list[SearchJob]:
-    """The full cross product the paper's evaluation runs."""
+    """The full cross product the paper's evaluation runs.
+
+    ``settings`` are the other :class:`SearchJob` fields (budgets,
+    executor, search options), shared by every job.
+    """
+    cache_dir = str(cache_dir) if cache_dir else None
     return [
         SearchJob(
-            program=program,
-            algorithm=algorithm,
-            threshold=threshold,
-            time_limit_seconds=time_limit_seconds,
-            max_evaluations=max_evaluations,
-            executor=executor,
-            executor_workers=executor_workers,
-            cache_dir=str(cache_dir) if cache_dir else None,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            prune=prune,
-            shadow=shadow,
-            rounding=rounding,
-            screen=screen,
+            program=program, algorithm=algorithm, threshold=threshold,
+            cache_dir=cache_dir, **settings,
         )
         for program in programs
         for algorithm in algorithms
@@ -195,52 +171,13 @@ def run_shard(
             # fresh trials are journaled as they complete; journaled
             # ones replay with identical cost/EV (see repro.core.checkpoint)
             cache = JournalTrialStore(journal, key, replay, inner=cache)
-        space_override = None
-        prune_info = None
-        if job.prune:
-            from repro.typeforge.prune import prune_report
-
-            report = bench.report()
-            pruned = prune_report(report)
-            space_override = pruned.space
-            prune_info = pruned.stats(report.search_space())
-        location_order = None
-        shadow_info = None
-        if job.shadow:
-            # The shadow run is a pure in-process function of the
-            # benchmark: computed once per worker process (shared by
-            # its threads and by certification below), it is identical
-            # across serial/thread/process execution.
-            from repro.shadow import shadow_guidance
-
-            location_order, shadow_info = shadow_guidance(bench)
-        certificate = None
-        screen_info = None
-        if job.screen:
-            # Like the shadow run, certification is a deterministic
-            # in-process function of the benchmark; it reuses the
-            # shared shadow report.
-            from repro.typeforge.errorbound import certify_benchmark
-
-            _, certificate = certify_benchmark(bench)
-            screen_info = certificate.info()
         try:
-            evaluator = ConfigurationEvaluator(
-                bench,
-                quality=quality,
+            evaluator, strategy = open_session(
+                bench, job, quality=quality, algorithm=job.algorithm,
                 time_limit_seconds=job.time_limit_seconds,
                 max_evaluations=job.max_evaluations,
                 executor=batch_executor,
                 cache=cache,
-                space_override=space_override,
-                prune_info=prune_info,
-                location_order=location_order,
-                shadow_info=shadow_info,
-                screen=certificate,
-                screen_info=screen_info,
-            )
-            strategy = make_strategy(
-                job.algorithm, **strategy_kwargs(job.algorithm, rounding=job.rounding)
             )
             result = JobResult(job=job, outcome=strategy.run(evaluator))
         finally:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from repro.core.batch import EXECUTOR_NAMES
 from repro.errors import MixPBenchError
 from repro.harness.scheduler import SearchJob, grid_jobs
+from repro.harness.session import SearchOptions
 
 __all__ = [
     "JOB_STATES", "TERMINAL_STATES", "GridSpec", "JobRecord", "SpecError",
@@ -41,13 +42,16 @@ class SpecError(MixPBenchError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(SearchOptions):
     """One submittable search job: a grid plus its execution options.
 
-    The shared evaluation cache is *not* part of the spec — the service
-    owns it (every tenant's evaluations route through one store, which
-    is what makes overlapping submissions dedupe); a direct
-    ``mixpbench grid`` chooses its own.
+    The search options (``prune``, ``shadow``, ``rounding``, ``screen``)
+    are the keyword-only fields of
+    :class:`~repro.harness.session.SearchOptions`.  The shared evaluation
+    cache is *not* part of the spec — the service owns it (every
+    tenant's evaluations route through one store, which is what makes
+    overlapping submissions dedupe); a direct ``mixpbench grid``
+    chooses its own.
     """
 
     programs: tuple[str, ...]
@@ -59,14 +63,6 @@ class GridSpec:
     executor_workers: int | None = None
     trial_timeout: float | None = None
     max_retries: int = 0
-    prune: bool = False
-    shadow: bool = False
-    #: store-rounding mode for emulated formats ("nearest" or
-    #: "stochastic"); only the bit-width bisection strategy consumes it
-    rounding: str = "nearest"
-    #: skip configurations whose statically certified error bound
-    #: violates the threshold (sound: skips only, never accepts)
-    screen: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "programs", tuple(self.programs))
@@ -83,27 +79,17 @@ class GridSpec:
                 f"unknown executor {self.executor!r}; "
                 f"choose one of {EXECUTOR_NAMES}"
             )
-        if self.rounding not in ("nearest", "stochastic"):
-            raise SpecError(
-                f"unknown rounding mode {self.rounding!r}; "
-                "choose 'nearest' or 'stochastic'"
-            )
+        SearchOptions.parse(vars(self.options()), SpecError)
 
     def jobs(self, cache_dir: str | None = None) -> list[SearchJob]:
         """Expand into the shards a scheduler dispatches."""
+        settings = {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name not in ("programs", "algorithms", "thresholds")
+        }
         return grid_jobs(
             self.programs, self.algorithms, self.thresholds,
-            time_limit_seconds=self.time_limit_seconds,
-            max_evaluations=self.max_evaluations,
-            executor=self.executor,
-            executor_workers=self.executor_workers,
-            cache_dir=cache_dir,
-            trial_timeout=self.trial_timeout,
-            max_retries=self.max_retries,
-            prune=self.prune,
-            shadow=self.shadow,
-            rounding=self.rounding,
-            screen=self.screen,
+            cache_dir=cache_dir, **settings,
         )
 
     @property
@@ -132,29 +118,17 @@ class GridSpec:
             "executor_workers": self.executor_workers,
             "trial_timeout": self.trial_timeout,
             "max_retries": self.max_retries,
-            "prune": self.prune,
-            "shadow": self.shadow,
-            # Only serialised when set: specs that never touch emulated
-            # formats keep their pre-format JSON shape, so their content
-            # digests (and therefore job identifiers) are unchanged.
-            **({"rounding": self.rounding} if self.rounding != "nearest" else {}),
-            **({"screen": True} if self.screen else {}),
+            **self.options_json(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GridSpec":
         if not isinstance(payload, Mapping):
             raise SpecError(f"grid spec must be an object, got {type(payload).__name__}")
-        known = {
-            "programs", "algorithms", "thresholds", "max_evaluations",
-            "time_limit_seconds", "executor", "executor_workers",
-            "trial_timeout", "max_retries", "prune", "shadow",
-            "rounding", "screen",
-        }
         # Ledger records and spool requests written by older releases
         # carry a ``fuse`` execution flag that never affected results;
         # it is accepted and discarded.
-        unknown = set(payload) - known - {"fuse"}
+        unknown = set(payload) - {f.name for f in fields(cls)} - {"fuse"}
         if unknown:
             raise SpecError(f"unknown grid spec field(s): {sorted(unknown)}")
         try:
@@ -170,10 +144,7 @@ class GridSpec:
                 executor_workers=payload.get("executor_workers"),
                 trial_timeout=payload.get("trial_timeout"),
                 max_retries=int(payload.get("max_retries", 0)),
-                prune=bool(payload.get("prune", False)),
-                shadow=bool(payload.get("shadow", False)),
-                rounding=payload.get("rounding", "nearest"),
-                screen=bool(payload.get("screen", False)),
+                **SearchOptions.parse(payload, SpecError, "grid spec: "),
             )
         except KeyError as missing:
             raise SpecError(f"grid spec is missing {missing.args[0]!r}") from None

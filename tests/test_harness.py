@@ -150,6 +150,11 @@ class TestPlugins:
         plugin = get_plugin("floatSmith")
         with pytest.raises(PluginError, match="unknown extra_args"):
             plugin.analysis(app, algorithm="DD", bogus=1)
+        # the search options are entry keys, not plugin arguments
+        for key, value in (("prune", True), ("shadow", True),
+                           ("screen", True), ("rounding", "stochastic")):
+            with pytest.raises(PluginError, match=f"unknown extra_args.*{key}"):
+                plugin.analysis(app, algorithm="DD", **{key: value})
 
     def test_floatsmith_writes_interchange_artifact(self, tmp_path, data_env):
         from repro.benchmarks.base import get_benchmark

@@ -7,7 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpoint import grid_fingerprint
-from repro.service import GridSpec
+from repro.errors import HarnessConfigError
+from repro.harness.config import parse_config
+from repro.harness.session import SearchOptions
+from repro.service import GridSpec, SpecError
 
 # ---------------------------------------------------------------------------
 # Job identity goldens: ``GridSpec.digest()`` names service jobs and
@@ -44,6 +47,94 @@ def test_job_identity_golden(overrides, digest, fingerprint):
     assert grid_fingerprint(spec.jobs()) == fingerprint
     # the spool round trip names the same job
     assert GridSpec.from_json_dict(spec.to_json_dict()).digest() == digest
+
+
+# ---------------------------------------------------------------------------
+# One validator for YAML entries and spool JSON
+
+
+class TestSearchOptions:
+    def test_yaml_entry_keys(self):
+        entry = parse_config({"x": {
+            "prune": True, "shadow": False, "rounding": "stochastic",
+            "screen": None,
+        }})[0]
+        # null inherits, like an absent key
+        assert entry.options == {
+            "prune": True, "shadow": False, "rounding": "stochastic",
+        }
+        assert parse_config({"x": {}})[0].options == {}
+
+    @pytest.mark.parametrize("body, message", [
+        ({"prune": "yes"}, "prune must be a boolean"),
+        ({"shadow": 1}, "shadow must be a boolean"),
+        ({"screen": "true"}, "screen must be a boolean"),
+        ({"rounding": "up"}, "rounding must be one of"),
+        ({"rounding": True}, "rounding must be one of"),
+    ])
+    def test_yaml_entry_rejects(self, body, message):
+        with pytest.raises(HarnessConfigError, match=f"x: {message}"):
+            parse_config({"x": body})
+
+    @pytest.mark.parametrize("key, value", [
+        ("prune", "false"), ("shadow", 0), ("screen", "yes"),
+        ("rounding", "Stochastic"),
+    ])
+    def test_spool_json_rejects(self, key, value):
+        payload = GridSpec(**GOLDEN_AXES).to_json_dict()
+        payload[key] = value
+        with pytest.raises(SpecError, match=key):
+            GridSpec.from_json_dict(payload)
+
+    def test_direct_spec_rejects_bad_rounding(self):
+        with pytest.raises(SpecError, match="rounding"):
+            GridSpec(**GOLDEN_AXES, rounding="up")
+
+    def test_harness_flag_overridden_per_entry(self, tmp_path, data_env):
+        from repro.harness import plugins
+        from repro.harness.runner import Harness
+
+        seen = []
+
+        class Recorder(plugins.AnalysisPlugin):
+            plugin_name = "optionsRecorder"
+
+            def analysis(self, app, **extra):
+                seen.append(app.options)
+                raise plugins.PluginError("recorded")
+
+        plugins.register_plugin(Recorder)
+        try:
+            entry = parse_config({"tridiag": {
+                "prune": False, "screen": True,
+                "analysis": {"r": {"name": "optionsRecorder"}}},
+            })[0]
+            harness = Harness(
+                output_dir=tmp_path, use_cache=False,
+                options=SearchOptions(prune=True, shadow=True),
+            )
+            with pytest.raises(plugins.PluginError, match="recorded"):
+                harness.run_entry(entry)
+        finally:
+            plugins._PLUGINS.pop("optionsrecorder", None)
+        assert seen == [SearchOptions(prune=False, shadow=True, screen=True)]
+
+    def test_grid_and_submit_expand_one_spec(self):
+        from repro.harness.cli import _grid_spec, build_parser
+
+        common = [
+            "--programs", "eos", "hpccg", "--algorithms", "DD", "BW",
+            "--thresholds", "1e-6", "--max-evaluations", "12",
+            "--prune", "--order", "shadow", "--rounding", "stochastic",
+            "--screen",
+        ]
+        parser = build_parser()
+        grid = _grid_spec(parser.parse_args(["grid", *common]))
+        submit = _grid_spec(parser.parse_args(["submit", *common]))
+        assert grid == submit
+        assert grid.options() == SearchOptions(
+            prune=True, shadow=True, rounding="stochastic", screen=True,
+        )
 
 
 # ---------------------------------------------------------------------------
