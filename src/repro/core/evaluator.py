@@ -55,9 +55,10 @@ from repro.runtime.cache import EvaluationCache, context_fingerprint
 from repro.verify.quality import QualitySpec
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 
-__all__ = ["ConfigurationEvaluator", "TimingMode", "measured_seconds"]
+__all__ = ["DEFAULT_TIME_LIMIT", "ConfigurationEvaluator", "TimingMode", "measured_seconds"]
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0  # the paper's per-search limit
+#: the paper's per-search analysis budget, in simulated seconds (24 hours)
+DEFAULT_TIME_LIMIT = 24 * 3600.0
 
 
 class TimingMode(enum.Enum):
@@ -172,7 +173,7 @@ class ConfigurationEvaluator:
         program: Program,
         quality: QualitySpec | None = None,
         machine: MachineModel = DEFAULT_MACHINE,
-        time_limit_seconds: float = _DEFAULT_TIME_LIMIT,
+        time_limit_seconds: float = DEFAULT_TIME_LIMIT,
         max_evaluations: int | None = None,
         measurement_noise: float = 0.01,
         timing: TimingMode = TimingMode.MODELED,

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from repro.benchmarks.base import application_benchmarks, kernel_benchmarks
+from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.core.results import SearchOutcome
 from repro.harness.scheduler import JobResult, SearchJob, run_grid
 from repro.search.registry import canonical_name, make_strategy
@@ -42,7 +43,7 @@ class ExperimentContext:
         results_dir: str | Path = "results",
         workers: int = 1,
         max_evaluations: int | None = None,
-        time_limit_seconds: float = 24 * 3600.0,
+        time_limit_seconds: float = DEFAULT_TIME_LIMIT,
         use_disk_cache: bool = True,
     ) -> None:
         self.results_dir = Path(results_dir)

@@ -24,15 +24,14 @@ import sys
 from repro.benchmarks.base import (
     application_benchmarks, get_benchmark, kernel_benchmarks,
 )
-from repro.core.batch import EXECUTOR_NAMES, make_executor
-from repro.core.evaluator import ConfigurationEvaluator
+from repro.core.evaluator import DEFAULT_TIME_LIMIT, ConfigurationEvaluator
 from repro.errors import MixPBenchError
 from repro.harness.reporting import (
     format_eval_stats, format_prune_stats, format_quality,
     format_screen_stats, format_shadow_stats, format_speedup, format_table,
 )
 from repro.harness.runner import Harness
-from repro.harness.session import SearchOptions, open_session
+from repro.harness.session import ExecutionOptions, SearchOptions, open_session
 from repro.search.registry import available_strategies
 from repro.verify.quality import QualitySpec
 
@@ -46,37 +45,40 @@ _OPTION_BLOCKS = (
 )
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared batch-execution/caching flags for search-running commands."""
+def _add_search_flags(
+    parser: argparse.ArgumentParser, *, cache: bool = True, trace: bool = True,
+) -> None:
+    """The search options and execution settings, plus the evaluation
+    cache and trace flags of the commands that own them."""
+    SearchOptions.add_arguments(parser)
+    ExecutionOptions.add_arguments(parser)
+    if cache:
+        parser.add_argument(
+            "--no-cache", action="store_true",
+            help="disable the persistent evaluation cache",
+        )
+        parser.add_argument(
+            "--cache-dir", default=None,
+            help="evaluation cache directory (default: <output>/cache)",
+        )
+    if trace:
+        parser.add_argument(
+            "--trace", action="store_true",
+            help="write a JSON-lines telemetry trace next to the results",
+        )
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The grid axes and budgets ``grid`` and ``submit`` share (one GridSpec)."""
+    parser.add_argument("--programs", nargs="+", required=True, metavar="BENCH")
     parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default="serial",
-        help="batch backend for configuration evaluation (default: serial)",
+        "--algorithms", nargs="+", required=True, metavar="ALGO",
+        help=f"one or more of {available_strategies()}",
     )
+    parser.add_argument("--thresholds", nargs="+", type=float, required=True)
+    parser.add_argument("--max-evaluations", type=int, default=None)
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the thread/process executors",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent evaluation cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="evaluation cache directory (default: <output>/cache)",
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="write a JSON-lines telemetry trace next to the results",
-    )
-    parser.add_argument(
-        "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget; slower trials are reported "
-             "as runtime errors (process executor kills hung workers)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry transient worker failures up to N times with "
-             "exponential backoff (default: 0, no retries)",
+        "--time-limit-hours", type=float, default=DEFAULT_TIME_LIMIT / 3600.0,
     )
 
 
@@ -156,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a YAML harness configuration")
     run.add_argument("config")
     run.add_argument("--output-dir", default="results")
-    SearchOptions.add_arguments(run)
-    _add_execution_flags(run)
+    _add_search_flags(run)
 
     search = sub.add_parser("search", help="run one mixed-precision search")
     search.add_argument("benchmark")
@@ -177,26 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None, metavar="PATH",
         help="also save the SearchOutcome as interchange JSON",
     )
-    SearchOptions.add_arguments(search)
-    _add_execution_flags(search)
+    _add_search_flags(search)
 
     grid = sub.add_parser(
         "grid",
         help="run a (program x algorithm x threshold) grid, "
              "journaled and resumable after a crash",
     )
-    grid.add_argument("--programs", nargs="+", required=True, metavar="BENCH")
-    grid.add_argument(
-        "--algorithms", nargs="+", required=True, metavar="ALGO",
-        help=f"one or more of {available_strategies()}",
-    )
-    grid.add_argument("--thresholds", nargs="+", type=float, required=True)
+    _add_grid_flags(grid)
     grid.add_argument(
         "--grid-workers", type=int, default=1,
         help="inter-job parallelism (jobs run concurrently on threads)",
     )
-    grid.add_argument("--max-evaluations", type=int, default=None)
-    grid.add_argument("--time-limit-hours", type=float, default=24.0)
     grid.add_argument(
         "--run-id", default=None,
         help="journal the run under <output>/runs/<run-id>/ so it can "
@@ -207,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a journaled run: skip finished jobs, replay "
              "completed trials, continue from the cut point",
     )
-    SearchOptions.add_arguments(grid)
     grid.add_argument("--output-dir", default="results")
-    _add_execution_flags(grid)
+    _add_search_flags(grid, trace=False)
 
     sensitivity = sub.add_parser(
         "sensitivity",
@@ -287,35 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
              "running `mixpbench serve` daemon",
     )
     _add_state_dir(submit)
-    submit.add_argument("--programs", nargs="+", required=True, metavar="BENCH")
-    submit.add_argument(
-        "--algorithms", nargs="+", required=True, metavar="ALGO",
-        help=f"one or more of {available_strategies()}",
-    )
-    submit.add_argument("--thresholds", nargs="+", type=float, required=True)
-    submit.add_argument("--max-evaluations", type=int, default=None)
-    submit.add_argument("--time-limit-hours", type=float, default=24.0)
+    _add_grid_flags(submit)
+    _add_search_flags(submit, cache=False, trace=False)
     submit.add_argument(
         "--tenant", default="default",
         help="tenant the job is accounted against (default: default)",
     )
-    submit.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default="serial",
-        help="batch backend each shard evaluates with (default: serial)",
-    )
-    submit.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the thread/process executors",
-    )
-    submit.add_argument(
-        "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget inside each shard",
-    )
-    submit.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry transient worker failures up to N times",
-    )
-    SearchOptions.add_arguments(submit)
     submit.add_argument(
         "--ack-timeout", type=float, default=30.0, metavar="SECONDS",
         help="how long to wait for the daemon to acknowledge (default: 30)",
@@ -442,14 +411,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     harness = Harness(
         output_dir=args.output_dir,
-        executor=args.executor,
-        workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         trace=args.trace,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
         options=SearchOptions.from_args(args),
+        execution=ExecutionOptions.from_args(args),
     )
     for report in harness.run_file(args.config):
         print(f"\n{report.name} ({report.metric} <= {report.threshold:g})")
@@ -562,10 +528,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     quality = QualitySpec(args.metric or bench.metric, threshold)
     timing = TimingMode.WALL_CLOCK if args.timing == "wall" else TimingMode.MODELED
     output_dir = Path(args.output_dir)
-    executor = make_executor(
-        args.executor, args.workers,
-        trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-    )
+    executor = ExecutionOptions.from_args(args).open_executor()
     cache = None
     if not args.no_cache:
         cache = EvaluationCache(args.cache_dir or output_dir / "cache")
@@ -671,16 +634,11 @@ def _grid_spec(args: argparse.Namespace):
     from repro.service import GridSpec
 
     return GridSpec(
-        programs=tuple(args.programs),
-        algorithms=tuple(args.algorithms),
-        thresholds=tuple(args.thresholds),
+        programs=args.programs, algorithms=args.algorithms, thresholds=args.thresholds,
         max_evaluations=args.max_evaluations,
         time_limit_seconds=args.time_limit_hours * 3600.0,
-        executor=args.executor,
-        executor_workers=args.workers,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
         **vars(SearchOptions.from_args(args)),
+        **vars(ExecutionOptions.from_args(args)),
     )
 
 

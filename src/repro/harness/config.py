@@ -20,8 +20,8 @@ The harness is driven by a per-benchmark YAML file::
           extra_args:
             algorithm: ddebug    # search strategy
 
-The search-option keys (``prune``, ``shadow``, ``rounding``, ``screen``)
-are validated by :meth:`repro.harness.session.SearchOptions.parse`.
+The search-option and execution keys are validated in
+:mod:`repro.harness.session` (``SearchOptions``, ``ExecutionOptions``).
 Unknown keys are rejected so typos fail loudly.  ``load_config``
 returns one :class:`HarnessConfig` per top-level key.
 """
@@ -34,18 +34,17 @@ from typing import Any, Mapping
 
 import yaml
 
+from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.errors import HarnessConfigError
-from repro.harness.session import SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions
 
 __all__ = ["AnalysisSpec", "HarnessConfig", "load_config", "parse_config"]
 
 _TOP_KEYS = {
     "benchmark", "build", "build_dir", "clean", "metric", "threshold",
     "runs", "time_limit_hours", "analysis", "args", "bin", "copy", "output",
-    "executor", "workers", "cache", *(f.name for f in fields(SearchOptions)),
+    "cache", *ExecutionOptions.YAML_KEYS, *(f.name for f in fields(SearchOptions)),
 }
-
-_EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -66,20 +65,18 @@ class HarnessConfig:
     metric: str | None = None
     threshold: float | None = None
     runs: int | None = None
-    time_limit_hours: float = 24.0
+    time_limit_hours: float = DEFAULT_TIME_LIMIT / 3600.0
     analyses: tuple[AnalysisSpec, ...] = ()
     build: tuple[str, ...] = ()
     clean: tuple[str, ...] = ()
-    #: batch executor (serial/thread/process); None inherits the
-    #: harness-wide choice
-    executor: str | None = None
-    #: worker count for thread/process executors; None inherits
-    workers: int | None = None
     #: persistent evaluation cache toggle; None inherits
     cache: bool | None = None
     #: the search options this entry sets (see SearchOptions); the
     #: others inherit the harness-wide values
     options: dict[str, Any] = field(default_factory=dict, hash=False)
+    #: the execution settings this entry sets (see ExecutionOptions),
+    #: by field name; the others inherit the harness-wide values
+    execution: dict[str, Any] = field(default_factory=dict, hash=False)
 
     def analysis(self, identifier: str) -> AnalysisSpec:
         for spec in self.analyses:
@@ -140,7 +137,7 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
         if not isinstance(runs, int) or runs < 1:
             raise HarnessConfigError(f"{source}: {name}: runs must be a positive integer")
 
-    hours = body.get("time_limit_hours", 24.0)
+    hours = body.get("time_limit_hours", DEFAULT_TIME_LIMIT / 3600.0)
     try:
         hours = float(hours)
     except (TypeError, ValueError):
@@ -148,29 +145,17 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
             f"{source}: {name}: time_limit_hours must be a number"
         ) from None
 
-    executor = body.get("executor")
-    if executor is not None:
-        executor = str(executor).strip().lower()
-        if executor not in _EXECUTOR_NAMES:
-            raise HarnessConfigError(
-                f"{source}: {name}: executor must be one of "
-                f"{list(_EXECUTOR_NAMES)}, got {executor!r}"
-            )
-
-    workers = body.get("workers")
-    if workers is not None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise HarnessConfigError(
-                f"{source}: {name}: workers must be a positive integer"
-            )
-
     cache = body.get("cache")
     if cache is not None and not isinstance(cache, bool):
         raise HarnessConfigError(
             f"{source}: {name}: cache must be a boolean"
         )
 
-    options = SearchOptions.parse(body, HarnessConfigError, f"{source}: {name}: ")
+    where = f"{source}: {name}: "
+    options = SearchOptions.parse(body, HarnessConfigError, where)
+    execution = ExecutionOptions.parse(
+        body, HarnessConfigError, where, keys=ExecutionOptions.YAML_KEYS,
+    )
 
     analyses = []
     for identifier, spec in (body.get("analysis") or {}).items():
@@ -195,8 +180,7 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
         analyses=tuple(analyses),
         build=tuple(body.get("build") or ()),
         clean=tuple(body.get("clean") or ()),
-        executor=executor,
-        workers=workers,
         cache=cache,
         options=options,
+        execution=execution,
     )

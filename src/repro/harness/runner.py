@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.benchmarks.base import Benchmark, get_benchmark
-from repro.core.batch import make_executor
 from repro.core.evaluator import measured_seconds
 from repro.core.telemetry import TraceWriter
 from repro.core.types import PrecisionConfig
 from repro.harness.config import HarnessConfig, load_config
 from repro.harness.plugins import AnalysisResult, DeployedApp, get_plugin
-from repro.harness.session import SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions
 from repro.runtime.cache import EvaluationCache
 from repro.verify.quality import QualitySpec
 
@@ -75,10 +74,6 @@ class Harness:
     ----------
     output_dir:
         Root for artifacts, traces and the evaluation cache.
-    executor / workers:
-        Default batch-execution backend handed to analyses
-        (``serial``/``thread``/``process``); per-entry YAML keys
-        override it.
     use_cache:
         Persistent evaluation cache toggle (default on; per-entry
         ``cache:`` overrides).  The cache lives under
@@ -86,39 +81,32 @@ class Harness:
     trace:
         When true, each entry writes a JSON-lines telemetry trace to
         ``<output_dir>/<entry>/trace.jsonl``.
-    trial_timeout / max_retries:
-        Fault policy handed to the batch executors: per-trial
-        wall-clock budget in real seconds and transient-failure retry
-        bound (see :class:`repro.core.batch.FaultPolicy` and
-        docs/fault-tolerance.md).  Defaults leave fault handling off.
     options:
         Default :class:`~repro.harness.session.SearchOptions` for every
         entry (``--prune``, ``--order shadow``, ``--rounding``,
         ``--screen``); an entry's own ``prune:``/``shadow:``/
         ``rounding:``/``screen:`` keys override them for that entry.
+    execution:
+        Default :class:`~repro.harness.session.ExecutionOptions`, merged
+        with each entry's ``executor:``/``workers:`` keys the same way;
+        one executor serves all of an entry's analyses.
     """
 
     def __init__(
         self,
         output_dir: str | Path = "results",
-        executor: str = "serial",
-        workers: int | None = None,
         use_cache: bool = True,
         cache_dir: str | Path | None = None,
         trace: bool = False,
-        trial_timeout: float | None = None,
-        max_retries: int = 0,
         options: SearchOptions = SearchOptions(),
+        execution: ExecutionOptions = ExecutionOptions(),
     ) -> None:
         self.output_dir = Path(output_dir)
-        self.executor = executor
-        self.workers = workers
         self.use_cache = use_cache
         self.cache_dir = Path(cache_dir) if cache_dir else self.output_dir / "cache"
         self.trace = trace
-        self.trial_timeout = trial_timeout
-        self.max_retries = max_retries
         self.options = options
+        self.execution = execution
 
     def run_file(self, path: str | Path) -> list[HarnessReport]:
         """Run every entry of a YAML configuration file."""
@@ -135,12 +123,7 @@ class Harness:
             threshold=quality.threshold,
         )
         bench.inputs()  # "build": generate inputs / data files
-        executor = make_executor(
-            entry.executor or self.executor,
-            entry.workers if entry.workers is not None else self.workers,
-            trial_timeout=self.trial_timeout,
-            max_retries=self.max_retries,
-        )
+        executor = replace(self.execution, **entry.execution).open_executor()
         cache_on = entry.cache if entry.cache is not None else self.use_cache
         cache = EvaluationCache(self.cache_dir) if cache_on else None
         trace = (

@@ -29,48 +29,37 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.batch import make_executor
 from repro.core.checkpoint import (
     DEFAULT_RUNS_DIR, JournalTrialStore, RunJournal, job_key,
 )
+from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.core.results import SearchOutcome
-from repro.harness.session import SearchOptions, open_session
+from repro.harness.session import ExecutionOptions, SearchOptions, open_session
 from repro.runtime.cache import EvaluationCache
 from repro.search.registry import canonical_name
 from repro.verify.quality import QualitySpec
 
 __all__ = ["SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs"]
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0
-
 
 @dataclass(frozen=True)
-class SearchJob(SearchOptions):
+class SearchJob(SearchOptions, ExecutionOptions):
     """One (program, algorithm, threshold) analysis to schedule.
 
-    ``executor``/``executor_workers`` select the *intra-job* batch
-    backend (how one search evaluates its configuration batches);
-    the ``workers`` argument of :func:`run_grid` remains the
-    *inter-job* parallelism.  ``cache_dir`` attaches a persistent
-    evaluation cache shared by every job that names the same path.
-    ``trial_timeout``/``max_retries`` configure the executor's
-    fault policy (per-trial wall-clock budget, transient-failure
-    retries); see :class:`repro.core.batch.FaultPolicy`.  The search
-    options (``prune``, ``shadow``, ``rounding``, ``screen``) are the
-    keyword-only fields of :class:`~repro.harness.session.SearchOptions`.
+    Its search options and execution settings are the keyword-only
+    fields of :mod:`repro.harness.session`'s two option classes.  The
+    executor is the *intra-job* batch backend; the ``workers`` argument
+    of :func:`run_grid` is the *inter-job* parallelism.  ``cache_dir``
+    attaches an evaluation cache shared by every job naming the path.
     """
 
     program: str
     algorithm: str
     threshold: float
     metric: str | None = None
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT
+    time_limit_seconds: float = DEFAULT_TIME_LIMIT
     max_evaluations: int | None = None
-    executor: str = "serial"
-    executor_workers: int | None = None
     cache_dir: str | None = None
-    trial_timeout: float | None = None
-    max_retries: int = 0
 
     def label(self) -> str:
         return f"{self.program}/{canonical_name(self.algorithm)}@{self.threshold:g}"
@@ -161,10 +150,7 @@ def run_shard(
     try:
         bench = get_benchmark(job.program)
         quality = QualitySpec(job.metric or bench.metric, job.threshold)
-        batch_executor = make_executor(
-            job.executor, job.executor_workers,
-            trial_timeout=job.trial_timeout, max_retries=job.max_retries,
-        )
+        batch_executor = job.open_executor()
         if cache is None:
             cache = EvaluationCache(job.cache_dir) if job.cache_dir else None
         if journal is not None and key is not None:

@@ -43,7 +43,7 @@ from repro.errors import MixPBenchError
 from repro.harness.scheduler import JobResult, SearchJob, run_shard
 from repro.runtime.cache import EvaluationCache
 from repro.service.queue import ServiceJournal, state_paths
-from repro.service.spec import GridSpec, JobRecord
+from repro.service.spec import GridSpec, JobRecord, SpecError
 
 __all__ = [
     "QuotaExceeded", "ServiceDraining", "Scheduler", "SchedulerHooks",
@@ -381,6 +381,8 @@ class Scheduler:
                 continue  # mid-write; the atomic rename hasn't landed yet
             ack: dict
             try:
+                if not isinstance(payload, dict):
+                    raise SpecError("a spool request must be a JSON object")
                 if request.name.endswith(".cancel.json"):
                     state = self.cancel(payload.get("job_id", ""))
                     ack = {"ok": True, "state": state}

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from repro.core.batch import EXECUTOR_NAMES
+from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.errors import MixPBenchError
 from repro.harness.scheduler import SearchJob, grid_jobs
-from repro.harness.session import SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions
 
 __all__ = [
     "JOB_STATES", "TERMINAL_STATES", "GridSpec", "JobRecord", "SpecError",
@@ -34,52 +34,50 @@ __all__ = [
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0
-
 
 class SpecError(MixPBenchError):
     """A submitted grid spec is malformed."""
 
 
 @dataclass(frozen=True)
-class GridSpec(SearchOptions):
+class GridSpec(SearchOptions, ExecutionOptions):
     """One submittable search job: a grid plus its execution options.
 
-    The search options (``prune``, ``shadow``, ``rounding``, ``screen``)
-    are the keyword-only fields of
-    :class:`~repro.harness.session.SearchOptions`.  The shared evaluation
-    cache is *not* part of the spec — the service owns it (every
-    tenant's evaluations route through one store, which is what makes
-    overlapping submissions dedupe); a direct ``mixpbench grid``
-    chooses its own.
+    The search options and the execution settings are the keyword-only
+    fields of :class:`~repro.harness.session.SearchOptions` and
+    :class:`~repro.harness.session.ExecutionOptions`.  The shared
+    evaluation cache is *not* part of the spec — the service owns it
+    (every tenant's evaluations route through one store, which is what
+    makes overlapping submissions dedupe); a direct ``mixpbench grid``
+    chooses its own.  Every field is validated, raising :class:`SpecError`.
     """
 
     programs: tuple[str, ...]
     algorithms: tuple[str, ...]
     thresholds: tuple[float, ...]
     max_evaluations: int | None = None
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT
-    executor: str = "serial"
-    executor_workers: int | None = None
-    trial_timeout: float | None = None
-    max_retries: int = 0
+    time_limit_seconds: float = DEFAULT_TIME_LIMIT
 
     def __post_init__(self) -> None:
+        number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        names = lambda v: type(v) in (list, tuple) and v and all(isinstance(n, str) for n in v)
+        numbers = lambda v: type(v) in (list, tuple) and v and all(map(number, v))
+        for name, check, rule in (
+            ("programs", names, "a non-empty list of names"),
+            ("algorithms", names, "a non-empty list of names"),
+            ("thresholds", numbers, "a non-empty list of numbers"),
+            ("max_evaluations", lambda v: v is None or type(v) is int, "an integer"),
+            ("time_limit_seconds", number, "a number"),
+        ):
+            value = getattr(self, name)
+            if not check(value):
+                raise SpecError(f"grid spec: {name} must be {rule}, got {value!r}")
         object.__setattr__(self, "programs", tuple(self.programs))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(
-            self, "thresholds", tuple(float(t) for t in self.thresholds)
-        )
-        if not self.programs or not self.algorithms or not self.thresholds:
-            raise SpecError(
-                "a grid spec needs at least one program, algorithm and threshold"
-            )
-        if self.executor not in EXECUTOR_NAMES:
-            raise SpecError(
-                f"unknown executor {self.executor!r}; "
-                f"choose one of {EXECUTOR_NAMES}"
-            )
-        SearchOptions.parse(vars(self.options()), SpecError)
+        object.__setattr__(self, "thresholds", tuple(map(float, self.thresholds)))
+        object.__setattr__(self, "time_limit_seconds", float(self.time_limit_seconds))
+        SearchOptions.parse(vars(self), SpecError, "grid spec: ")
+        ExecutionOptions.parse(vars(self), SpecError, "grid spec: ")
 
     def jobs(self, cache_dir: str | None = None) -> list[SearchJob]:
         """Expand into the shards a scheduler dispatches."""
@@ -114,10 +112,7 @@ class GridSpec(SearchOptions):
             "thresholds": list(self.thresholds),
             "max_evaluations": self.max_evaluations,
             "time_limit_seconds": self.time_limit_seconds,
-            "executor": self.executor,
-            "executor_workers": self.executor_workers,
-            "trial_timeout": self.trial_timeout,
-            "max_retries": self.max_retries,
+            **{f.name: getattr(self, f.name) for f in fields(ExecutionOptions)},
             **self.options_json(),
         }
 
@@ -131,23 +126,15 @@ class GridSpec(SearchOptions):
         unknown = set(payload) - {f.name for f in fields(cls)} - {"fuse"}
         if unknown:
             raise SpecError(f"unknown grid spec field(s): {sorted(unknown)}")
-        try:
-            return cls(
-                programs=tuple(payload["programs"]),
-                algorithms=tuple(payload["algorithms"]),
-                thresholds=tuple(payload["thresholds"]),
-                max_evaluations=payload.get("max_evaluations"),
-                time_limit_seconds=float(
-                    payload.get("time_limit_seconds", _DEFAULT_TIME_LIMIT)
-                ),
-                executor=payload.get("executor", "serial"),
-                executor_workers=payload.get("executor_workers"),
-                trial_timeout=payload.get("trial_timeout"),
-                max_retries=int(payload.get("max_retries", 0)),
-                **SearchOptions.parse(payload, SpecError, "grid spec: "),
-            )
-        except KeyError as missing:
-            raise SpecError(f"grid spec is missing {missing.args[0]!r}") from None
+        return cls(
+            programs=payload.get("programs"),
+            algorithms=payload.get("algorithms"),
+            thresholds=payload.get("thresholds"),
+            max_evaluations=payload.get("max_evaluations"),
+            time_limit_seconds=payload.get("time_limit_seconds", DEFAULT_TIME_LIMIT),
+            **SearchOptions.parse(payload, SpecError, "grid spec: "),
+            **ExecutionOptions.parse(payload, SpecError, "grid spec: "),
+        )
 
 
 @dataclass
@@ -166,9 +153,6 @@ class JobRecord:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
-
-    def with_state(self, state: str) -> "JobRecord":
-        return replace(self, state=state)
 
     def to_json_dict(self) -> dict:
         return {

@@ -61,6 +61,20 @@ class TestGridSpec:
         with pytest.raises(SpecError):
             small_spec(executor="quantum")
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_retries", "x"), ("max_retries", True), ("max_retries", 1.7),
+        ("time_limit_seconds", "abc"), ("thresholds", ["x"]),
+        ("programs", 5), ("programs", "tridiag"), ("algorithms", []),
+        ("executor_workers", "two"), ("executor_workers", -3),
+        ("trial_timeout", -1), ("trial_timeout", "soon"),
+        ("max_evaluations", "ten"),
+    ])
+    def test_malformed_field_raises_spec_error(self, key, value):
+        payload = small_spec().to_json_dict()
+        payload[key] = value
+        with pytest.raises(SpecError, match=key):
+            GridSpec.from_json_dict(payload)
+
     def test_unknown_field_rejected(self):
         payload = small_spec().to_json_dict()
         payload["cache_dir"] = "/tmp/x"
@@ -420,6 +434,30 @@ class TestSpoolAndClient:
         scheduler.stop(drain=False)
         assert not ack["ok"]
         assert "program" in ack["error"]
+
+    def test_spool_poisoned_request_does_not_stop_serving(self, data_env):
+        """A malformed spec is refused with an ``ok: false`` ack naming
+        the field and leaves the spool; the next request is served."""
+        scheduler = Scheduler(data_env / "svc", workers=1)
+        spool = scheduler.paths["spool"]
+        bad = {**small_spec().to_json_dict(), "max_retries": "x"}
+        (spool / "bad.json").write_text(json.dumps({"tenant": "t", "spec": bad}))
+        (spool / "list.json").write_text("[1, 2]")
+        assert scheduler.poll_spool() == 2
+        for name in ("bad", "list"):
+            ack = json.loads((spool / f"{name}.ack.json").read_text())
+            assert not ack["ok"]
+            assert not (spool / f"{name}.json").exists()
+        assert "max_retries" in json.loads((spool / "bad.ack.json").read_text())["error"]
+        scheduler.start()
+        try:
+            ack = self._spool_submit(
+                scheduler, {"tenant": "t", "spec": small_spec().to_json_dict()},
+            )
+            assert ack["ok"]
+            assert attach(data_env / "svc", ack["job_id"], timeout=180) == "done"
+        finally:
+            scheduler.stop(drain=True)
 
     def test_spool_cancel_request(self, tmp_path):
         scheduler = Scheduler(tmp_path / "svc")

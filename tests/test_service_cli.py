@@ -32,6 +32,16 @@ class TestParser:
         assert args.quota == 8
         assert args.idle_exit is None
 
+    def test_grid_has_no_trace_flag(self, capsys):
+        # a grid never wrote a trace; the flag is gone, not ignored
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([
+                "grid", "--programs", "eos", "--algorithms", "DD",
+                "--thresholds", "1e-6", "--trace",
+            ])
+        assert exit_info.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
     def test_submit_requires_grid_axes(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "--programs", "tridiag"])

@@ -1,5 +1,6 @@
 """Tests of the search session: the job identity every front end must
-keep, and the search options (prune, shadow, rounding, screen) as the
+keep, and the search options (prune, shadow, rounding, screen) and
+execution settings (executor, workers, trial timeout, retries) as the
 CLI, the YAML harness and the grid scheduler each take them."""
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import pytest
 from repro.core.checkpoint import grid_fingerprint
 from repro.errors import HarnessConfigError
 from repro.harness.config import parse_config
-from repro.harness.session import SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions
 from repro.service import GridSpec, SpecError
 
 # ---------------------------------------------------------------------------
@@ -126,15 +127,131 @@ class TestSearchOptions:
             "--programs", "eos", "hpccg", "--algorithms", "DD", "BW",
             "--thresholds", "1e-6", "--max-evaluations", "12",
             "--prune", "--order", "shadow", "--rounding", "stochastic",
-            "--screen",
+            "--screen", "--executor", "process", "--workers", "2",
+            "--trial-timeout", "30", "--max-retries", "1",
         ]
         parser = build_parser()
         grid = _grid_spec(parser.parse_args(["grid", *common]))
         submit = _grid_spec(parser.parse_args(["submit", *common]))
         assert grid == submit
-        assert grid.options() == SearchOptions(
-            prune=True, shadow=True, rounding="stochastic", screen=True,
+        assert (grid.prune, grid.shadow, grid.rounding, grid.screen) == (
+            True, True, "stochastic", True,
         )
+        assert (grid.executor, grid.executor_workers, grid.trial_timeout,
+                grid.max_retries) == ("process", 2, 30.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The execution settings: one validator for YAML entries, spool JSON and
+# a directly built GridSpec; one flag set for search, run, grid and submit
+
+#: (field, bad value); the YAML entry names ``executor_workers``
+#: ``workers`` and has no key for the fault policy
+EXECUTION_REJECTS = [
+    ("executor", "Process"), ("executor", " process"),
+    ("executor_workers", 0), ("executor_workers", True),
+    ("executor_workers", "two"), ("trial_timeout", -1),
+    ("trial_timeout", "soon"), ("max_retries", 1.5), ("max_retries", True),
+]
+_YAML_KEY = {field: key for key, field in ExecutionOptions.YAML_KEYS.items()}
+
+
+@pytest.mark.parametrize("front_end, field, value", [
+    (front_end, field, value)
+    for field, value in EXECUTION_REJECTS
+    for front_end in ("yaml", "spool", "direct")
+    if front_end != "yaml" or field in _YAML_KEY
+])
+def test_execution_setting_rejected(front_end, field, value):
+    if front_end == "yaml":
+        key = _YAML_KEY[field]
+        with pytest.raises(HarnessConfigError, match=f"x: {key} must be"):
+            parse_config({"x": {key: value}})
+    elif front_end == "spool":
+        payload = GridSpec(**GOLDEN_AXES).to_json_dict()
+        payload[field] = value
+        with pytest.raises(SpecError, match=f"{field} must be"):
+            GridSpec.from_json_dict(payload)
+    else:
+        with pytest.raises(SpecError, match=f"{field} must be"):
+            GridSpec(**GOLDEN_AXES, **{field: value})
+
+
+def test_execution_yaml_entry_keys():
+    entry = parse_config({"x": {"executor": "thread", "workers": 3}})[0]
+    assert entry.execution == {"executor": "thread", "executor_workers": 3}
+    assert parse_config({"x": {"workers": None}})[0].execution == {}
+    for key in ("trial_timeout", "max_retries", "executor_workers"):
+        with pytest.raises(HarnessConfigError, match="unknown keys"):
+            parse_config({"x": {key: 1}})
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"], ["--workers", "-2"], ["--trial-timeout", "0"],
+    ["--trial-timeout", "nan"], ["--max-retries", "-1"],
+    ["--executor", "Process"],
+])
+@pytest.mark.parametrize("command", [
+    ["search", "eos"], ["run", "x.yaml"],
+    ["grid", "--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-6"],
+    ["submit", "--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-6"],
+])
+def test_cli_rejects_bad_execution_flags(command, flags, capsys):
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, *flags])
+    assert exit_info.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_cli_execution_flags_parse_to_options():
+    from repro.harness.cli import build_parser
+
+    args = build_parser().parse_args([
+        "search", "eos", "--executor", "thread", "--workers", "3",
+        "--trial-timeout", "2.5", "--max-retries", "0",
+    ])
+    assert ExecutionOptions.from_args(args) == ExecutionOptions(
+        executor="thread", executor_workers=3, trial_timeout=2.5,
+    )
+    defaults = build_parser().parse_args(["search", "eos"])
+    assert ExecutionOptions.from_args(defaults) == ExecutionOptions()
+
+
+def test_execution_harness_flag_overridden_per_entry(tmp_path, data_env):
+    from repro.harness import plugins
+    from repro.harness.cli import build_parser
+    from repro.harness.runner import Harness
+
+    seen = []
+
+    class Recorder(plugins.AnalysisPlugin):
+        plugin_name = "executorRecorder"
+
+        def analysis(self, app, **extra):
+            seen.append((app.executor.name, app.executor.workers))
+            raise plugins.PluginError("recorded")
+
+    plugins.register_plugin(Recorder)
+    args = build_parser().parse_args(
+        ["run", "x.yaml", "--executor", "thread", "--workers", "2"],
+    )
+    harness = Harness(
+        output_dir=tmp_path, use_cache=False,
+        execution=ExecutionOptions.from_args(args),
+    )
+    analysis = {"r": {"name": "executorRecorder"}}
+    try:
+        for body in (
+            {"executor": "serial"}, {}, {"workers": 3},
+        ):
+            (entry,) = parse_config({"tridiag": {**body, "analysis": analysis}})
+            with pytest.raises(plugins.PluginError, match="recorded"):
+                harness.run_entry(entry)
+    finally:
+        plugins._PLUGINS.pop("executorrecorder", None)
+    assert seen == [("serial", 1), ("thread", 2), ("thread", 3)]
 
 
 # ---------------------------------------------------------------------------
