@@ -7,6 +7,17 @@ orchestration layer, and a YAML-driven harness that regenerates every
 table and figure of the paper's evaluation.
 """
 
+import os
+
+# One BLAS thread, set before NumPy first loads: a threaded BLAS splits
+# reductions such as ``np.dot`` by the host's core count, so the same
+# configuration would return different bits on different machines (and
+# small dot products only pay for the threads).  Pool workers inherit
+# the setting.  A process that loaded NumPy before importing this
+# package keeps its BLAS as it is (see docs/runtime.md).
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["MKL_NUM_THREADS"] = "1"
+
 from repro.core.types import Precision, PrecisionConfig
 from repro.core.variables import Cluster, Granularity, SearchSpace, Variable, VariableKind
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel

@@ -124,14 +124,19 @@ class Benchmark(ABC):
 
     def _shared_state(self) -> dict:
         """Per-process cache slot for this fingerprint (inputs, report,
-        RNG replay stream, shadow report) shared across benchmark
-        instances.  ``setdefault`` is atomic, so instances touching the
-        slot concurrently for the first time all get the same one."""
+        RNG replay stream, shadow report, baseline) shared across
+        benchmark instances.  ``setdefault`` is atomic, so instances
+        touching the slot concurrently for the first time all get the
+        same one."""
         state = self._state
         if state is None:
             state = self._state = _PROCESS_STATE.setdefault(
                 self.inputs_fingerprint(),
-                {"rng": RNGReplayCache(), "lock": threading.Lock()},
+                {
+                    "rng": RNGReplayCache(),
+                    "lock": threading.Lock(),
+                    "baseline_lock": threading.Lock(),
+                },
             )
         return state
 
@@ -227,6 +232,33 @@ class Benchmark(ABC):
             modeled_seconds=self.machine.time(ws.profile),
         )
 
+    def baseline(self) -> ExecutionResult:
+        """The all-double execution, run at most once per process for
+        this inputs fingerprint.
+
+        Its output is the verification reference of every trial, and it
+        is machine-independent, so the slot keeps the output (read-only)
+        and the operation profile; the modeled seconds are this
+        instance's machine's time for that profile.  Evaluators of one
+        program — one per grid shard or service job — and process-pool
+        workers, which inherit the slot when forked, share the one run.
+        Concurrent first callers wait on the slot's lock for it.
+        """
+        state = self._shared_state()
+        memo = state.get("baseline")
+        if memo is None:
+            with state["baseline_lock"]:
+                memo = state.get("baseline")
+                if memo is None:
+                    execution = self.execute(PrecisionConfig())
+                    output = np.array(execution.output, dtype=np.float64)
+                    output.setflags(write=False)
+                    memo = state["baseline"] = (output, execution.profile)
+        output, profile = memo
+        return ExecutionResult(
+            output=output, profile=profile, modeled_seconds=self.machine.time(profile),
+        )
+
     def manual_inputs(self, precision) -> dict[str, Any]:
         """Inputs for the paper's Table IV *manual* whole-program
         conversion.  A human rewriting the source also converts what no
@@ -262,9 +294,11 @@ class ApplicationBenchmark(Benchmark):
 
 
 #: per-process shared state: inputs fingerprint -> {"inputs", "report",
-#: "rng", "sensitivity", "lock"}.  "sensitivity" is the default shadow
-#: report (:func:`repro.shadow.report.shared_sensitivity`); "lock"
-#: guards its one-time computation.  See
+#: "rng", "sensitivity", "lock", "baseline", "baseline_lock"}.
+#: "sensitivity" is the default shadow report
+#: (:func:`repro.shadow.report.shared_sensitivity`) and "baseline" the
+#: all-double run (:meth:`Benchmark.baseline`); each lock guards its
+#: one-time computation.  See
 #: :meth:`Benchmark.inputs_fingerprint` for the invalidation rule.
 _PROCESS_STATE: dict[tuple, dict] = {}
 

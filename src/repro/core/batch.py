@@ -1,13 +1,16 @@
 """Batch execution backends for the configuration evaluator.
 
 The paper's harness "offloads the search analysis in parallel on a
-cluster"; this module is the single-node analogue.  An executor takes
-a list of precision configurations and produces their raw
-:class:`~repro.core.program.ExecutionResult`\\ s — the *pure*,
-side-effect-free part of an evaluation.  All bookkeeping (trial
-indices, the simulated analysis clock, the 24-hour budget, quality
-verification) stays in the evaluator and is replayed serially, so a
-parallel run produces a trial log bit-identical to the serial one.
+cluster"; this module is the single-node analogue.  The unit of work
+is one *trial*: execute a precision configuration and verify its
+output against the all-double baseline (:class:`Verifier`).  An
+executor takes a list of configurations and returns one small
+:class:`Verdict` per configuration — error value, pass/fail and
+modeled seconds — or an :class:`ExecutionFailure`; program outputs
+never leave the backend that produced them.  All bookkeeping (trial
+indices, the simulated analysis clock, the 24-hour budget) stays in
+the evaluator and is replayed serially, so a parallel run produces a
+trial log bit-identical to the serial one.
 
 Three backends are provided:
 
@@ -18,13 +21,18 @@ Three backends are provided:
     the GIL inside large kernels, so threads already overlap real work.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` fed *picklable
-    work items* — ``(benchmark name, machine model, config JSON)``
-    triples — so nothing unpicklable crosses the process boundary.
-    Workers rebuild the benchmark from the suite registry (once per
-    process) and regenerate its inputs deterministically from the
-    benchmark seed.  Programs that are not registry benchmarks
-    (e.g. ad-hoc :class:`~repro.core.program.Program` objects) fall
-    back to in-process threads transparently.
+    work items* — ``(benchmark name, machine model, quality spec,
+    config JSON, timeout)`` — so nothing unpicklable crosses the
+    process boundary.  Workers rebuild the benchmark from the suite
+    registry (once per process), regenerate its inputs
+    deterministically from the benchmark seed, and verify against the
+    benchmark's memoised baseline
+    (:meth:`~repro.benchmarks.base.Benchmark.baseline`): a forked
+    worker inherits it, any other worker computes it once.  Config JSON
+    goes in, a verdict of a few bytes comes out.  Verifiers of programs
+    that are not registry benchmarks (e.g. ad-hoc
+    :class:`~repro.core.program.Program` objects) fall back to
+    in-process threads transparently.
 
 Executions are deterministic functions of the configuration, so *where*
 they run never changes *what* they return.
@@ -33,7 +41,7 @@ Fault tolerance (see docs/fault-tolerance.md) is opt-in through a
 :class:`FaultPolicy`:
 
 * **Per-trial wall-clock timeouts.**  Every backend applies a post-hoc
-  elapsed-time check (an execution that took longer than the timeout
+  elapsed-time check (a trial that took longer than the timeout
   is reported as an ``ExecutionFailure("Timeout")`` even though it
   finished), which keeps the accounting identical across backends.
   The process backend additionally *preempts* true hangs: a worker
@@ -68,16 +76,18 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.program import ExecutionResult, Program
 from repro.core.types import PrecisionConfig
+from repro.verify.quality import QualitySpec
 
 __all__ = [
-    "ExecutionFailure", "FaultPolicy", "BatchExecutor", "SerialExecutor",
-    "ThreadExecutor", "ProcessExecutor", "WorkStealingQueue", "make_executor",
+    "ExecutionFailure", "FaultPolicy", "Verdict", "Verifier", "BatchExecutor",
+    "SerialExecutor", "ThreadExecutor", "ProcessExecutor", "WorkStealingQueue",
+    "make_executor",
     "chunked", "EXECUTOR_NAMES", "DEFAULT_BATCH_SIZE",
 ]
 
@@ -206,6 +216,41 @@ class ExecutionFailure:
         return f"ExecutionFailure({self.kind})"
 
 
+class Verdict(NamedTuple):
+    """What one trial returns: its output's verification against the
+    all-double baseline (``value``, ``passed``: the
+    :class:`~repro.verify.quality.QualityResult` fields the evaluator
+    records) and the execution's modeled seconds."""
+
+    value: float
+    passed: bool
+    modeled_seconds: float
+
+
+class Verifier:
+    """One program's trial: execute a configuration, then check its
+    output against ``reference`` (the all-double output) with
+    ``quality`` — the same ``QualitySpec.check`` call on the same arrays
+    wherever the trial runs.  Executors run verifiers, so outputs stay
+    where they were computed and only :class:`Verdict`\\ s travel."""
+
+    def __init__(self, program: Program, quality: QualitySpec, reference: np.ndarray) -> None:
+        self.program = program
+        self.quality = quality
+        self.reference = reference
+
+    def execute(self, config: PrecisionConfig) -> Verdict:
+        return self.verdict(self.program.execute(config))
+
+    def verdict(self, execution: ExecutionResult) -> Verdict:
+        result = self.quality.check(self.reference, execution.output)
+        # plain Python scalars (bit-identical to the metric's value), so
+        # every backend hands the evaluator the same types
+        return Verdict(
+            float(result.value), bool(result.passed), float(execution.modeled_seconds)
+        )
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """Retry/timeout envelope for one executor.
@@ -240,8 +285,8 @@ class FaultPolicy:
 NO_FAULTS = FaultPolicy()
 
 
-def execute_guarded(program: Program, config: PrecisionConfig):
-    """Execute in-process, mapping runtime errors to a failure marker."""
+def execute_guarded(program: Verifier, config: PrecisionConfig):
+    """Run one trial in-process, mapping runtime errors to a failure marker."""
     try:
         return program.execute(config)
     except RUNTIME_ERRORS as exc:
@@ -249,7 +294,13 @@ def execute_guarded(program: Program, config: PrecisionConfig):
 
 
 class BatchExecutor:
-    """Base class: run a batch of configuration executions."""
+    """Base class: run a batch of trials.
+
+    ``run(verifier, configs)`` returns one :class:`Verdict` or
+    :class:`ExecutionFailure` per configuration, in input order.  The
+    in-process backends call ``verifier.execute`` and so accept any
+    object with that method.
+    """
 
     name = "serial"
 
@@ -263,9 +314,9 @@ class BatchExecutor:
         self.redispatched = 0
 
     def run(
-        self, program: Program, configs: Sequence[PrecisionConfig]
-    ) -> list[ExecutionResult | ExecutionFailure]:
-        """Execute ``configs``; results align with the input order."""
+        self, program: Verifier, configs: Sequence[PrecisionConfig]
+    ) -> list[Verdict | ExecutionFailure]:
+        """Run the trials of ``configs``; results align with the input order."""
         if not self.policy.active:
             return [execute_guarded(program, config) for config in configs]
         results = [self._policy_execute(program, config) for config in configs]
@@ -281,8 +332,8 @@ class BatchExecutor:
             "redispatched": self.redispatched,
         }
 
-    def _policy_execute(self, program: Program, config: PrecisionConfig):
-        """One in-process execution under the fault policy.
+    def _policy_execute(self, program: Verifier, config: PrecisionConfig):
+        """One in-process trial under the fault policy.
 
         Runtime errors of the configuration fail immediately (they are
         deterministic properties of the config); any other exception is
@@ -371,7 +422,7 @@ class ThreadExecutor(BatchExecutor):
             pool.submit(self._policy_execute, program, config)
             for config in configs
         ]
-        results: list[ExecutionResult | ExecutionFailure] = []
+        results: list[Verdict | ExecutionFailure] = []
         for future in futures:
             try:
                 results.append(future.result(timeout=self.policy.trial_timeout))
@@ -395,50 +446,50 @@ class ThreadExecutor(BatchExecutor):
 
 # -- process backend ---------------------------------------------------------
 
-#: per-worker-process benchmark instances, keyed by (name, machine name)
-_WORKER_BENCHMARKS: dict[tuple[str, str], Any] = {}
+#: per-worker-process benchmark instances and their baseline outputs,
+#: keyed by (name, machine name)
+_WORKER_BENCHMARKS: dict[tuple[str, str], tuple[Any, np.ndarray]] = {}
 
 
 def _execute_work_item(item: tuple) -> tuple:
-    """Worker-side execution of one picklable work item.
+    """Worker-side trial of one picklable work item.
 
-    Returns a plain ``("ok", output, modeled_seconds)``,
-    ``("error", exception_name)`` or ``("timeout",)`` tuple — nothing
-    richer than NumPy arrays and strings crosses back to the parent.
-    Transient (non-runtime) exceptions propagate to the parent, which
-    owns the retry budget.  The optional fourth item field is the
-    trial timeout for the post-hoc elapsed check (worker warm-up —
-    input generation, Typeforge analysis — is deliberately excluded
-    from the measured window).
+    Returns a plain ``("ok", value, passed, modeled_seconds)``,
+    ``("error", exception_name)`` or ``("timeout",)`` tuple — floats,
+    booleans and strings, never an output array.  Transient
+    (non-runtime) exceptions propagate to the parent, which owns the
+    retry budget.  ``timeout`` bounds the post-hoc elapsed check of the
+    trial (execution and verification); worker warm-up — input
+    generation, Typeforge analysis, the baseline — is deliberately
+    excluded from the measured window.
     """
-    program_name, machine, config_payload = item[:3]
-    timeout = item[3] if len(item) > 3 else None
+    program_name, machine, quality, config_payload, timeout = item
     key = (program_name, machine.name)
-    bench = _WORKER_BENCHMARKS.get(key)
-    if bench is None:
+    warm = _WORKER_BENCHMARKS.get(key)
+    if warm is None:
         from repro.benchmarks.base import get_benchmark
 
         bench = get_benchmark(program_name, machine=machine)
         bench.inputs()  # deterministic regeneration, once per process
-        _WORKER_BENCHMARKS[key] = bench
+        warm = _WORKER_BENCHMARKS[key] = (bench, bench.baseline().output)
+    bench, reference = warm
     config = PrecisionConfig.from_json_dict(config_payload)
     started = time.perf_counter()
     try:
-        result = bench.execute(config)
+        verdict = Verifier(bench, quality, reference).execute(config)
     except RUNTIME_ERRORS as exc:
         return ("error", type(exc).__name__)
     if timeout is not None and time.perf_counter() - started > timeout:
         return ("timeout",)
-    output = np.asarray(result.output, dtype=np.float64)
-    return ("ok", output, float(result.modeled_seconds))
+    return ("ok", *verdict)
 
 
 class ProcessExecutor(BatchExecutor):
     """Process-pool execution over picklable work items.
 
-    Only registry benchmarks can be shipped by name; other programs
-    degrade to an in-process thread pool so callers never have to
-    special-case the backend.
+    Only verifiers of registry benchmarks can be shipped by name; other
+    programs degrade to an in-process thread pool so callers never have
+    to special-case the backend.
 
     With a fault policy attached this is the one backend that can
     truly *recover*: a hung worker is killed at the trial timeout, a
@@ -457,8 +508,10 @@ class ProcessExecutor(BatchExecutor):
         self._pool: ProcessPoolExecutor | None = None
         self._thread_fallback: ThreadExecutor | None = None
 
-    def _resolvable(self, program: Program) -> bool:
-        name = getattr(program, "name", None)
+    def _resolvable(self, program: Verifier) -> bool:
+        if not isinstance(program, Verifier):
+            return False
+        name = getattr(program.program, "name", None)
         if not name:
             return False
         from repro.benchmarks.base import available_benchmarks
@@ -498,14 +551,14 @@ class ProcessExecutor(BatchExecutor):
                 self._thread_fallback = ThreadExecutor(self.workers, self.policy)
             return self._thread_fallback.run(program, configs)
 
-        machine = getattr(program, "machine", None)
+        machine = getattr(program.program, "machine", None)
         if machine is None:
             from repro.runtime.machine import DEFAULT_MACHINE
 
             machine = DEFAULT_MACHINE
         timeout = self.policy.trial_timeout
         items = [
-            (program.name, machine, config.to_json_dict(), timeout)
+            (program.program.name, machine, program.quality, config.to_json_dict(), timeout)
             for config in configs
         ]
         if not self.policy.active:
@@ -520,13 +573,12 @@ class ProcessExecutor(BatchExecutor):
         return results
 
     @staticmethod
-    def _payload_to_result(payload: tuple) -> ExecutionResult | ExecutionFailure:
+    def _payload_to_result(payload: tuple) -> Verdict | ExecutionFailure:
         if payload[0] == "error":
             return ExecutionFailure(payload[1])
         if payload[0] == "timeout":
             return ExecutionFailure("Timeout")
-        _tag, output, modeled = payload
-        return ExecutionResult(output=output, profile=None, modeled_seconds=modeled)
+        return Verdict(*payload[1:])
 
     def _run_fault_tolerant(self, items: list, tokens: list[str]) -> list:
         """Dispatch work items, surviving hangs, crashes and transients.

@@ -9,7 +9,9 @@ For each candidate configuration it:
    time, reproducing the waste the paper attributes to
    variable-granularity searches);
 2. executes the program and verifies its output against the all-double
-   baseline with the program's quality metric;
+   baseline with the program's quality metric — one *trial*
+   (:class:`~repro.core.batch.Verifier`), which yields a small
+   :class:`~repro.core.batch.Verdict` wherever it runs;
 3. "times" it with the paper's methodology — ten measured runs, best
    and worst discarded — on the modeled clock, with small deterministic
    per-run jitter standing in for measurement noise;
@@ -21,10 +23,11 @@ increment the evaluated-configurations counter EV).
 
 Two further layers sit on top of the serial contract:
 
-* **Batching** — :meth:`ConfigurationEvaluator.prefetch` fans the raw
-  executions of not-yet-seen configurations out to a pluggable
-  :class:`~repro.core.batch.BatchExecutor`; the bookkeeping (trial
-  index, budget, quality check) is then replayed serially, so
+* **Batching** — :meth:`ConfigurationEvaluator.prefetch` fans the
+  trials of not-yet-seen configurations out to a pluggable
+  :class:`~repro.core.batch.BatchExecutor`, which verifies each output
+  where it ran and returns only its verdict; the bookkeeping (trial
+  index, budget, speedup) is then replayed serially, so
   :meth:`evaluate_many` produces a trial log bit-identical to calling
   :meth:`evaluate` in a loop.
 * **Persistence** — with an
@@ -44,8 +47,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import RUNTIME_ERRORS, BatchExecutor, ExecutionFailure
-from repro.core.program import ExecutionResult, Program
+from repro.core.batch import RUNTIME_ERRORS, BatchExecutor, ExecutionFailure, Verdict, Verifier
+from repro.core.program import Program
 from repro.core.results import EvaluationStatus, TrialRecord
 from repro.core.telemetry import EvalStats, TraceWriter
 from repro.core.types import PrecisionConfig
@@ -113,7 +116,7 @@ class ConfigurationEvaluator:
         Relative sigma of the per-run timing jitter.
     executor:
         Optional :class:`~repro.core.batch.BatchExecutor` used by
-        :meth:`prefetch` / :meth:`evaluate_many` to run executions in
+        :meth:`prefetch` / :meth:`evaluate_many` to run trials in
         parallel.  ``None`` keeps everything in-line.
     cache:
         Optional :class:`~repro.runtime.cache.EvaluationCache`;
@@ -214,7 +217,7 @@ class ConfigurationEvaluator:
         self.screen = screen
         self.screen_info = screen_info
         self._cache: dict[PrecisionConfig, TrialRecord] = {}
-        self._staged: dict[PrecisionConfig, ExecutionResult | ExecutionFailure] = {}
+        self._staged: dict[PrecisionConfig, Verdict | ExecutionFailure] = {}
         self._trials: list[TrialRecord] = []
         self.evaluations = 0
         self.analysis_seconds = 0.0
@@ -238,15 +241,24 @@ class ConfigurationEvaluator:
         # output is the verification reference; its measured time is
         # the speedup denominator.  FloatSmith profiles the original
         # before searching, so we charge its cost to the clock but not
-        # to the EV counter.
+        # to the EV counter.  A benchmark's baseline is memoised per
+        # process (Benchmark.baseline); wall-clock timing runs its own.
         baseline_config = PrecisionConfig()
-        baseline, baseline_seconds = self._timed_execute(baseline_config)
+        memoised = getattr(program, "baseline", None)
+        if memoised is not None and self.timing is TimingMode.MODELED:
+            baseline = memoised()
+            baseline_seconds = baseline.modeled_seconds
+        else:
+            baseline, baseline_seconds = self._timed_execute(baseline_config)
         if baseline.has_nonfinite_output:
             raise MixPBenchError(
                 f"{program.name}: baseline (double) output is not finite; "
                 "the reference program itself is broken"
             )
-        self._baseline_output = np.asarray(baseline.output, dtype=np.float64).copy()
+        output = np.asarray(baseline.output, dtype=np.float64)
+        # the shared memo is read-only already; other outputs are copied
+        self._baseline_output = output.copy() if output.flags.writeable else output
+        self._verifier = Verifier(program, self.quality, self._baseline_output)
         self._time_scale = (
             program.nominal_seconds / baseline_seconds
             if baseline_seconds > 0
@@ -370,19 +382,26 @@ class ConfigurationEvaluator:
         return record
 
     def prefetch(self, configs: Iterable[PrecisionConfig]) -> int:
-        """Speculatively execute configurations on the batch executor.
+        """Speculatively run trials on the batch executor.
 
         Only configurations that would actually execute are shipped:
         repeats, persistent-cache hits, non-compilable candidates and
-        already-staged configurations are filtered out.  Results are
-        staged so a later :meth:`evaluate` consumes them instead of
+        already-staged configurations are filtered out.  Their verdicts
+        are staged so a later :meth:`evaluate` consumes them instead of
         executing — budget accounting, trial order and indices are
-        untouched.  A no-op without an executor, and under wall-clock
-        timing (concurrent wall timings would not be comparable).
+        untouched.  A no-op without an executor, with a one-worker
+        executor (nothing would overlap; speculative trials that a
+        search never consumes would only waste work), and under
+        wall-clock timing (concurrent wall timings would not be
+        comparable).
 
         Returns the number of executions fanned out.
         """
-        if self.executor is None or self.timing is not TimingMode.MODELED:
+        if (
+            self.executor is None
+            or self.executor.workers < 2
+            or self.timing is not TimingMode.MODELED
+        ):
             return 0
         pending: list[PrecisionConfig] = []
         seen: set[PrecisionConfig] = set()
@@ -406,7 +425,7 @@ class ConfigurationEvaluator:
         if not pending:
             return 0
         started = time.perf_counter()
-        results = self.executor.run(self.program, pending)
+        results = self.executor.run(self._verifier, pending)
         self.stats.wall_seconds += time.perf_counter() - started
         self._sync_fault_stats()
         self.stats.prefetched_executions += len(pending)
@@ -425,8 +444,8 @@ class ConfigurationEvaluator:
 
         Equivalent to ``[self.evaluate(c) for c in configs]`` in every
         observable way (trial log, EV, simulated clock, budget
-        exhaustion point); the raw executions of cache misses are
-        computed on the executor first.
+        exhaustion point); the trials of cache misses are run on the
+        executor first.
         """
         configs = list(configs)
         self.prefetch(configs)
@@ -511,9 +530,10 @@ class ConfigurationEvaluator:
 
     def _execute_or_fail(
         self, config: PrecisionConfig
-    ) -> tuple[ExecutionResult, float] | None:
-        """Staged (prefetched) or in-line execution; ``None`` on a
-        runtime error of the configuration."""
+    ) -> tuple[Verdict, float] | None:
+        """A staged (prefetched) or in-line trial: its verdict and its
+        seconds under the active timing mode; ``None`` on a runtime
+        error of the configuration."""
         staged = self._staged.pop(config, None)
         if staged is not None:
             if isinstance(staged, ExecutionFailure):
@@ -529,7 +549,7 @@ class ConfigurationEvaluator:
             # timeout/retry envelope protects non-batched strategies too
             started = time.perf_counter()
             try:
-                result = executor.run(self.program, [config])[0]
+                result = executor.run(self._verifier, [config])[0]
             finally:
                 self.stats.wall_seconds += time.perf_counter() - started
                 self._sync_fault_stats()
@@ -538,7 +558,8 @@ class ConfigurationEvaluator:
             return result, result.modeled_seconds
         started = time.perf_counter()
         try:
-            return self._timed_execute(config)
+            execution, seconds = self._timed_execute(config)
+            return self._verifier.verdict(execution), seconds
         except RUNTIME_ERRORS:
             return None
         finally:
@@ -563,24 +584,23 @@ class ConfigurationEvaluator:
                 status=EvaluationStatus.RUNTIME_ERROR,
                 analysis_seconds=cost,
             )
-        execution, seconds = executed
+        verdict, seconds = executed
 
         cost = self._run_cost(seconds)
         self.analysis_seconds += cost
 
-        result = self.quality.check(self._baseline_output, execution.output)
         measured = measured_seconds(
             seconds, config.digest(),
             self.program.runs_per_config, self._effective_noise(),
         )
         speedup = self._baseline_measured / measured if measured > 0 else math.nan
         status = (
-            EvaluationStatus.PASSED if result.passed
+            EvaluationStatus.PASSED if verdict.passed
             else EvaluationStatus.FAILED_QUALITY
         )
         return TrialRecord(
             index=index, config=config, status=status,
-            error_value=result.value, speedup=speedup,
-            modeled_seconds=execution.modeled_seconds,
+            error_value=verdict.value, speedup=speedup,
+            modeled_seconds=verdict.modeled_seconds,
             analysis_seconds=cost,
         )

@@ -31,6 +31,7 @@ from repro.experiments import (
     shadow_stats, table1, table2, table3, table4, table5,
 )
 from repro.experiments.context import ExperimentContext
+from repro.harness.session import flag_type
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS"]
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--results-dir", default="results")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
-        "--max-evaluations", type=int, default=None,
+        "--max-evaluations", type=flag_type("max_evaluations", int), default=None,
         help="cap EV per search (smoke runs); the 24h budget still applies",
     )
     parser.add_argument(

@@ -31,7 +31,7 @@ from repro.harness.reporting import (
     format_screen_stats, format_shadow_stats, format_speedup, format_table,
 )
 from repro.harness.runner import Harness
-from repro.harness.session import ExecutionOptions, SearchOptions, open_session
+from repro.harness.session import ExecutionOptions, SearchOptions, flag_type, open_session
 from repro.search.registry import available_strategies
 from repro.verify.quality import QualitySpec
 
@@ -76,9 +76,12 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         help=f"one or more of {available_strategies()}",
     )
     parser.add_argument("--thresholds", nargs="+", type=float, required=True)
-    parser.add_argument("--max-evaluations", type=int, default=None)
     parser.add_argument(
-        "--time-limit-hours", type=float, default=DEFAULT_TIME_LIMIT / 3600.0,
+        "--max-evaluations", type=flag_type("max_evaluations", int), default=None,
+    )
+    parser.add_argument(
+        "--time-limit-hours", type=flag_type("time_limit_hours", float),
+        default=DEFAULT_TIME_LIMIT / 3600.0,
     )
 
 
@@ -165,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--algorithm", default="DD", help=f"one of {available_strategies()}")
     search.add_argument("--threshold", type=float, default=None)
     search.add_argument("--metric", default=None)
-    search.add_argument("--max-evaluations", type=int, default=None)
+    search.add_argument(
+        "--max-evaluations", type=flag_type("max_evaluations", int), default=None,
+    )
     search.add_argument(
         "--timing", choices=["modeled", "wall"], default="modeled",
         help="runtime source: roofline model (default) or host wall clock",

@@ -36,7 +36,7 @@ import yaml
 
 from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.errors import HarnessConfigError
-from repro.harness.session import ExecutionOptions, SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions, check_setting
 
 __all__ = ["AnalysisSpec", "HarnessConfig", "load_config", "parse_config"]
 
@@ -144,6 +144,7 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
         raise HarnessConfigError(
             f"{source}: {name}: time_limit_hours must be a number"
         ) from None
+    check_setting("time_limit_hours", hours, HarnessConfigError, f"{source}: {name}: ")
 
     cache = body.get("cache")
     if cache is not None and not isinstance(cache, bool):

@@ -27,7 +27,7 @@ from typing import Any
 from repro.benchmarks.base import Benchmark
 from repro.core.results import SearchOutcome
 from repro.errors import PluginError
-from repro.harness.session import SearchOptions, open_session
+from repro.harness.session import SearchOptions, check_setting, open_session
 from repro.verify.quality import QualitySpec
 
 __all__ = [
@@ -92,6 +92,8 @@ class FloatSmithPlugin(AnalysisPlugin):
             raise PluginError(
                 f"floatSmith: unknown extra_args {sorted(extra_args)}"
             )
+        if max_evaluations is not None:
+            check_setting("max_evaluations", max_evaluations, PluginError, "floatSmith: ")
 
         bench = app.benchmark
         bench.runs_per_config = app.runs_per_config

@@ -189,7 +189,7 @@ class Harness:
         if not outcome.found_solution:
             return report
         config = outcome.final.config
-        baseline = bench.execute(PrecisionConfig())
+        baseline = bench.baseline()
         tuned = bench.execute(config)
         report.error_value = quality.measure(baseline.output, tuned.output)
         base_t = measured_seconds(

@@ -37,23 +37,52 @@ from repro.search.bitwidth import ROUNDING_MODES
 from repro.search.registry import make_strategy, strategy_kwargs
 from repro.verify.quality import QualitySpec
 
-__all__ = ["ExecutionOptions", "SearchOptions", "open_session"]
+__all__ = [
+    "ExecutionOptions", "SearchOptions", "check_fields", "check_setting",
+    "flag_type", "open_session",
+]
 
 
 _BOOLEAN = (lambda v: type(v) is bool, "must be a boolean")
+_POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "must be a positive integer")
+#: NaN fails ``v > 0`` too
+_POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "must be a positive number")
 
-#: every option's and setting's rule: (check, what the check demands);
-#: ``type(v) is int`` keeps booleans out of the integer settings
+#: every option's, setting's and budget's rule: (check, what the check
+#: demands); ``type(v) is int`` keeps booleans out of the integer settings
 _RULES = {
     "prune": _BOOLEAN,
     "shadow": _BOOLEAN,
     "rounding": (lambda v: v in ROUNDING_MODES, f"must be one of {list(ROUNDING_MODES)}"),
     "screen": _BOOLEAN,
     "executor": (lambda v: v in EXECUTOR_NAMES, f"must be one of {list(EXECUTOR_NAMES)}"),
-    "executor_workers": (lambda v: type(v) is int and v >= 1, "must be a positive integer"),
-    "trial_timeout": (lambda v: type(v) in (int, float) and v > 0, "must be a positive number"),
+    "executor_workers": _POSITIVE_INT,
+    "trial_timeout": _POSITIVE,
     "max_retries": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
+    "max_evaluations": _POSITIVE_INT,
+    "time_limit_seconds": _POSITIVE,
+    "time_limit_hours": _POSITIVE,
 }
+
+
+def check_setting(
+    name: str, value: Any, error: type[Exception], where: str = "", key: str | None = None,
+) -> None:
+    """Raise ``error`` (prefixed with ``where``, naming ``key`` or ``name``)
+    unless ``value`` meets the rule of setting ``name``."""
+    check, rule = _RULES[name]
+    if not check(value):
+        raise error(f"{where}{key or name} {rule}, got {value!r}")
+
+
+def check_fields(options: Any, error: type[Exception], where: str = "") -> None:
+    """Check every ruled field of a built dataclass (a grid spec).  A null
+    passes only where the field's default is null: elsewhere its JSON
+    round trip would read the default back and name a different job."""
+    for f in fields(options):
+        value = getattr(options, f.name)
+        if f.name in _RULES and not (value is None and f.default is None):
+            check_setting(f.name, value, error, where)
 
 
 def _parse(payload: Mapping, keys: Any, error: type[Exception], where: str) -> dict:
@@ -67,14 +96,12 @@ def _parse(payload: Mapping, keys: Any, error: type[Exception], where: str) -> d
         value = payload.get(key)
         if value is None:
             continue
-        check, rule = _RULES[name]
-        if not check(value):
-            raise error(f"{where}{key} {rule}, got {value!r}")
+        check_setting(name, value, error, where, key)
         settings[name] = value
     return settings
 
 
-def _flag_type(name: str, convert: type) -> Any:
+def flag_type(name: str, convert: type) -> Any:
     """An argparse ``type``: ``convert`` the flag, then apply ``name``'s rule."""
     check, rule = _RULES[name]
 
@@ -208,17 +235,17 @@ class ExecutionOptions:
             help="batch backend for configuration evaluation (default: serial)",
         )
         parser.add_argument(
-            "--workers", type=_flag_type("executor_workers", int), default=None,
+            "--workers", type=flag_type("executor_workers", int), default=None,
             help="worker count for the thread/process executors",
         )
         parser.add_argument(
-            "--trial-timeout", type=_flag_type("trial_timeout", float),
+            "--trial-timeout", type=flag_type("trial_timeout", float),
             default=None, metavar="SECONDS",
             help="per-trial wall-clock budget; slower trials are reported "
                  "as runtime errors (process executor kills hung workers)",
         )
         parser.add_argument(
-            "--max-retries", type=_flag_type("max_retries", int), default=0,
+            "--max-retries", type=flag_type("max_retries", int), default=0,
             metavar="N",
             help="retry transient worker failures up to N times with "
                  "exponential backoff (default: 0, no retries)",

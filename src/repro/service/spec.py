@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.core.evaluator import DEFAULT_TIME_LIMIT
 from repro.errors import MixPBenchError
 from repro.harness.scheduler import SearchJob, grid_jobs
-from repro.harness.session import ExecutionOptions, SearchOptions
+from repro.harness.session import ExecutionOptions, SearchOptions, check_fields
 
 __all__ = [
     "JOB_STATES", "TERMINAL_STATES", "GridSpec", "JobRecord", "SpecError",
@@ -49,7 +49,10 @@ class GridSpec(SearchOptions, ExecutionOptions):
     evaluation cache is *not* part of the spec — the service owns it
     (every tenant's evaluations route through one store, which is what
     makes overlapping submissions dedupe); a direct ``mixpbench grid``
-    chooses its own.  Every field is validated, raising :class:`SpecError`.
+    chooses its own.  Every field is validated, raising :class:`SpecError`;
+    the options, settings and budgets follow the rules of
+    :mod:`repro.harness.session`, and none of them may be null unless its
+    default is (so :meth:`to_json_dict` round-trips to the same job).
     """
 
     programs: tuple[str, ...]
@@ -66,18 +69,15 @@ class GridSpec(SearchOptions, ExecutionOptions):
             ("programs", names, "a non-empty list of names"),
             ("algorithms", names, "a non-empty list of names"),
             ("thresholds", numbers, "a non-empty list of numbers"),
-            ("max_evaluations", lambda v: v is None or type(v) is int, "an integer"),
-            ("time_limit_seconds", number, "a number"),
         ):
             value = getattr(self, name)
             if not check(value):
                 raise SpecError(f"grid spec: {name} must be {rule}, got {value!r}")
+        check_fields(self, SpecError, "grid spec: ")
         object.__setattr__(self, "programs", tuple(self.programs))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "thresholds", tuple(map(float, self.thresholds)))
         object.__setattr__(self, "time_limit_seconds", float(self.time_limit_seconds))
-        SearchOptions.parse(vars(self), SpecError, "grid spec: ")
-        ExecutionOptions.parse(vars(self), SpecError, "grid spec: ")
 
     def jobs(self, cache_dir: str | None = None) -> list[SearchJob]:
         """Expand into the shards a scheduler dispatches."""

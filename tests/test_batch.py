@@ -2,23 +2,26 @@
 and EvalStats accounting.
 
 The contract under test is the one DESIGN'd into
-:mod:`repro.core.batch`: executors compute only the pure execution of
-a configuration, all bookkeeping is replayed serially, so a parallel
-run's trial log is bit-identical to the serial one.
+:mod:`repro.core.batch`: executors run only the pure trial of a
+configuration (execute, then verify against the baseline) and return
+its verdict, all bookkeeping is replayed serially, so a parallel run's
+trial log is bit-identical to the serial one.
 """
 
-import numpy as np
+import math
+
 import pytest
 
 from helpers import ToyProgram
 
 from repro.core.batch import (
     DEFAULT_BATCH_SIZE, EXECUTOR_NAMES, ExecutionFailure, ProcessExecutor,
-    SerialExecutor, ThreadExecutor, WorkStealingQueue, chunked,
-    execute_guarded, make_executor,
+    SerialExecutor, ThreadExecutor, Verdict, Verifier, WorkStealingQueue,
+    chunked, execute_guarded, make_executor,
 )
 from repro.core.evaluator import ConfigurationEvaluator, TimingMode
 from repro.core.telemetry import EvalStats
+from repro.core.types import PrecisionConfig
 from repro.search.registry import make_strategy
 
 
@@ -75,12 +78,19 @@ class TestExecutors:
     def test_results_match_serial(self, name):
         program = ToyProgram(n_clusters=6, toxic=(1,))
         configs = self.configs(program)
-        reference = SerialExecutor().run(program, configs)
+        baseline = program.execute(PrecisionConfig())
+        verifier = Verifier(program, program.quality, baseline.output)
+        reference = SerialExecutor().run(verifier, configs)
         with make_executor(name, 2) as executor:
-            results = executor.run(program, configs)
+            results = executor.run(verifier, configs)
         assert len(results) == len(reference)
+        assert {r.passed for r in reference} == {True, False}  # toxic cluster 1
         for got, want in zip(results, reference):
-            np.testing.assert_array_equal(got.output, want.output)
+            assert type(got) is Verdict
+            assert got.value == want.value or (
+                math.isnan(got.value) and math.isnan(want.value)
+            )
+            assert got.passed == want.passed
             assert got.modeled_seconds == want.modeled_seconds
 
     def test_make_executor_names_and_defaults(self):

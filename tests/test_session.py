@@ -255,6 +255,97 @@ def test_execution_harness_flag_overridden_per_entry(tmp_path, data_env):
 
 
 # ---------------------------------------------------------------------------
+# Nulls in a directly built GridSpec, and the budgets in every front end
+
+#: the fields whose default is not null; a null would be written to spool
+#: JSON, read back as the default and name a different job
+NON_NULL_FIELDS = [
+    "prune", "shadow", "rounding", "screen", "executor", "max_retries",
+    "time_limit_seconds",
+]
+
+
+@pytest.mark.parametrize("field", NON_NULL_FIELDS)
+def test_direct_spec_rejects_null(field):
+    with pytest.raises(SpecError, match=f"{field} must be"):
+        GridSpec(**GOLDEN_AXES, **{field: None})
+
+
+def test_nullable_settings_round_trip_to_the_same_job():
+    spec = GridSpec(
+        **GOLDEN_AXES, executor_workers=None, trial_timeout=None,
+        max_evaluations=None,
+    )
+    payload = spec.to_json_dict()
+    assert {key for key, value in payload.items() if value is None} == {
+        "executor_workers", "trial_timeout", "max_evaluations",
+    }
+    assert GridSpec.from_json_dict(payload).digest() == spec.digest() == GOLDEN_IDENTITY[0][1]
+
+
+#: (field, bad value) for the search budgets
+BUDGET_REJECTS = [
+    ("max_evaluations", 0), ("max_evaluations", -5), ("max_evaluations", True),
+    ("max_evaluations", 2.0), ("time_limit_seconds", 0), ("time_limit_seconds", -1.0),
+    ("time_limit_seconds", float("nan")), ("time_limit_seconds", True),
+]
+
+
+@pytest.mark.parametrize("front_end", ["spool", "direct"])
+@pytest.mark.parametrize("field, value", BUDGET_REJECTS)
+def test_budget_rejected_by_grid_spec(front_end, field, value):
+    if front_end == "spool":
+        payload = GridSpec(**GOLDEN_AXES).to_json_dict()
+        payload[field] = value
+        with pytest.raises(SpecError, match=f"{field} must be a positive"):
+            GridSpec.from_json_dict(payload)
+    else:
+        with pytest.raises(SpecError, match=f"{field} must be a positive"):
+            GridSpec(**GOLDEN_AXES, **{field: value})
+
+
+@pytest.mark.parametrize("hours", [0, -1, float("nan")])
+def test_yaml_rejects_non_positive_time_limit(hours):
+    with pytest.raises(HarnessConfigError, match="x: time_limit_hours must be a positive"):
+        parse_config({"x": {"time_limit_hours": hours}})
+
+
+@pytest.mark.parametrize("evaluations", [0, -3, True])
+def test_yaml_floatsmith_rejects_non_positive_max_evaluations(evaluations, tmp_path, data_env):
+    from repro.errors import PluginError
+    from repro.harness.runner import Harness
+
+    (entry,) = parse_config({"tridiag": {"analysis": {"fs": {
+        "name": "floatSmith", "extra_args": {"max_evaluations": evaluations},
+    }}}})
+    harness = Harness(output_dir=tmp_path, use_cache=False)
+    with pytest.raises(PluginError, match="max_evaluations must be a positive integer"):
+        harness.run_entry(entry)
+
+
+_GRID_AXES = ["--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-6"]
+_EVALUATION_FLAGS = [["--max-evaluations", "0"], ["--max-evaluations", "-5"]]
+_HOUR_FLAGS = [
+    ["--time-limit-hours", "0"], ["--time-limit-hours", "-1"],
+    ["--time-limit-hours", "nan"],
+]
+
+
+@pytest.mark.parametrize("command, flags", [
+    *((["grid", *_GRID_AXES], f) for f in _EVALUATION_FLAGS + _HOUR_FLAGS),
+    *((["submit", *_GRID_AXES], f) for f in _EVALUATION_FLAGS + _HOUR_FLAGS),
+    *((["search", "eos"], f) for f in _EVALUATION_FLAGS),
+])
+def test_cli_rejects_non_positive_budgets(command, flags, capsys):
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, *flags])
+    assert exit_info.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # Front-end parity on real benchmarks: the same options through
 # ``mixpbench search``, a YAML harness entry and a scheduler shard build
 # the same search.
